@@ -90,7 +90,7 @@ class WorkerRuntime:
             default_labels={"worker": self.name}
         )
         self.recommender = _build_recommender(config, worker_id)
-        # Pre-traffic, so a plain load (no swap lock contention) is safe:
+        # Pre-traffic, so the swap's table build delays no request:
         # a replacement spawned by the supervisor or a rolling restart
         # comes up on the online loop's latest approved snapshot, not on
         # the stale seed weights it was built from.

@@ -18,15 +18,31 @@ transpose orders, same reduction axes — so the kernel's output is
 one (fresh ``embedding_tables()``); both claims are regression-tested.
 When the batch carries a segment layout the point-deduplication mirrors
 :meth:`repro.core.pec.PreferenceExtraction.aware_query` exactly.
+
+Weights view
+------------
+The kernel reads ``model.origin_pec`` / ``dest_pec`` / ``joint`` /
+``theta`` and, below those, ``<parameter>.data``; ``model`` is the live
+:class:`~repro.core.odnet.ODNET` or a :class:`FrozenScoringState` with
+the same attributes over the arrays bound at capture time — one kernel,
+two views.  Every sanctioned weight mutation (``Adam.step``,
+``SGD.step``, ``Module.load_state_dict``, the PS write-back) *rebinds*
+``param.data`` and never writes into the old array, so a capture is
+immutable without a copy and scores as one version whatever the live
+model does meanwhile.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import types
+
 import numpy as np
 
+from ..nn import Module, Parameter
 from ..tensor import functional as F
 
-__all__ = ["fused_score_pairs"]
+__all__ = ["FrozenScoringState", "frozen_view", "fused_score_pairs"]
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -197,11 +213,48 @@ def _table(value) -> np.ndarray:
     return value.data if hasattr(value, "data") else np.asarray(value)
 
 
+def frozen_view(value):
+    """``value`` with every Parameter below it replaced by a holder of
+    the array bound to its ``.data`` now; other attributes pass through."""
+    if isinstance(value, Parameter):
+        return types.SimpleNamespace(data=value.data)
+    if isinstance(value, Module):
+        return types.SimpleNamespace(**{
+            name: frozen_view(child) for name, child in vars(value).items()
+            if name not in ("_parameters", "_modules")
+        })
+    if isinstance(value, (list, tuple)):
+        return [frozen_view(child) for child in value]
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenScoringState:
+    """All that Eq. 11 scoring reads, as bound at capture time
+    (:meth:`repro.core.odnet.ODNET.frozen_state`): the weights views the
+    kernel walks, the tables, and the ``param_version`` they belong to
+    (``None``: unknown or invalidated).  A session publishes one of
+    these by reference; a reader that picked it up scores from it alone.
+    """
+
+    origin_pec: types.SimpleNamespace
+    dest_pec: types.SimpleNamespace
+    joint: types.SimpleNamespace
+    theta: float
+    tables: dict | None = None
+    version: int | None = None
+
+    def score_pairs(self, batch, tables=None) -> np.ndarray:
+        return fused_score_pairs(self, batch, tables or self.tables)
+
+
 def fused_score_pairs(model, batch, tables=None) -> np.ndarray:
     """Eq. 11 serving scores for an ODNET-family model, pure numpy.
 
-    ``tables`` is the ``embedding_tables()`` result (Tensor or ndarray
-    pairs per side); ``None`` recomputes them — which is the *only*
+    ``model`` is the live model or a :class:`FrozenScoringState` of it
+    (see *Weights view* above).  ``tables`` is the
+    ``embedding_tables()`` result (Tensor or ndarray pairs per side);
+    ``None`` recomputes them — which is the *only*
     difference between the cached and uncached serving paths, and the
     tables are deterministic in the weights, hence bit-identical scores.
     """

@@ -17,7 +17,7 @@ from ..graph import Metapath, NeighborTable, build_neighbor_table
 from ..nn import Parameter
 from ..tensor import Tensor, concat, functional as F, no_grad
 from .base import NeuralRanker
-from .fused import fused_score_pairs
+from .fused import FrozenScoringState, frozen_view, fused_score_pairs
 from .hsgc import HSGComponent
 from .mmoe import MMoEJointLearning
 from .pec import PreferenceExtraction
@@ -173,6 +173,18 @@ class ODNET(NeuralRanker):
                 "o": self.origin_hsgc.node_embeddings(),
                 "d": self.dest_hsgc.node_embeddings(),
             }
+
+    def frozen_state(self, version: int | None = None) -> FrozenScoringState:
+        """Capture what serving reads — the PEC/MMoE arrays and theta
+        bound right now, plus freshly built tables — as one immutable
+        object that stays valid while the live model trains or reloads
+        (see :mod:`repro.core.fused`).  ``version`` tags it with the
+        caller's ``param_version`` reading."""
+        return FrozenScoringState(
+            frozen_view(self.origin_pec), frozen_view(self.dest_pec),
+            frozen_view(self.joint), self.theta,
+            self.embedding_tables(), version,
+        )
 
     def freeze(self):
         """Return a :class:`repro.perf.InferenceSession` over this model."""

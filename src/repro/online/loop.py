@@ -13,9 +13,12 @@ Two halves, deliberately decoupled by the :class:`SnapshotStore`:
   polls the store's pointer and hot-swaps newly promoted versions into
   its :class:`~repro.perf.InferenceSession` /
   :class:`~repro.perf.ShardedInferenceSession` (or a bare model) through
-  the sanctioned exclusive-swap APIs.  Followers never talk to the
-  trainer; a trainer crash is invisible to them beyond the pointer going
-  quiet.
+  the sanctioned swap APIs.  Those build the next frozen scoring state
+  beside live reads and publish it by reference (see
+  :mod:`repro.perf.session`), so a poll never stalls a request for the
+  table build and a request never sees two versions.  Followers never
+  talk to the trainer; a trainer crash is invisible to them beyond the
+  pointer going quiet.
 
 Crash containment mirrors the cluster supervisor's philosophy: a
 trainer exception (including injected publish faults) costs one token of
@@ -71,7 +74,9 @@ class SnapshotFollower:
         self.last_lag_ms: float | None = None
         #: per-swap history (one entry per applied version — swaps are
         #: rare, so this stays tiny); the drill/bench read these for
-        #: their update-lag and swap-pause percentiles.
+        #: their update-lag and swap-pause percentiles.  A pause is the
+        #: *exclusive* part of a swap (what the swap API returns), not
+        #: the build that ran beside reads (``perf.swap_build_ms``).
         self.lag_history_ms: list[float] = []
         self.pause_history_ms: list[float] = []
         self._published_unix: float | None = None

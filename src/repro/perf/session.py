@@ -9,22 +9,37 @@ the model's weights actually move, the same precompute-then-serve split
 used by production OD systems (Fliggy's deep matching; STP-UDGAT's static
 graph attention).
 
+Publish by reference
+--------------------
+A request scores from one immutable
+:class:`~repro.core.fused.FrozenScoringState` (tables, captured weights,
+the ``param_version`` they belong to) that the session holds in a single
+attribute: a reader loads the reference once, so it takes no lock and
+cannot see two versions.  A hot swap loads the new weights and builds
+the next state beside the reads, which keep scoring from the old one;
+publishing is one assignment.  :mod:`repro.core.fused` says why a
+capture needs no copy.
+
 Invalidation contract
 ---------------------
-The session keys its tables on :attr:`repro.nn.Module.param_version`, a
-monotone counter bumped by every sanctioned weight mutation: optimizer
-steps (:class:`~repro.optim.Adam`, :class:`~repro.optim.SGD`),
+A state is fresh while its version equals the sum of ``Parameter.version``
+over the model's parameters (held in a flat tuple), a counter bumped by
+every sanctioned weight mutation: optimizer steps
+(:class:`~repro.optim.Adam`, :class:`~repro.optim.SGD`),
 ``Module.load_state_dict`` (and therefore
 :func:`~repro.train.load_checkpoint` resumes), and parameter-server
-write-backs.
-A stale version triggers one recompute on the next request — training and
-serving can interleave and serving never sees stale embeddings.  Code
-that assigns ``param.data`` directly bypasses the counter and must call
+write-backs.  A stale version triggers one rebuild on the next request,
+so training and serving can interleave.  Code that assigns
+``param.data`` directly bypasses the counter and must call
 ``Parameter.bump_version()`` (or :meth:`InferenceSession.invalidate`).
+In-flight rule: a reader that finds its state stale while a writer (a
+swap, or another reader's rebuild) is at work neither starts a second
+table build nor waits for the first — it serves the last published
+state, a whole version, until the writer publishes.
 
 Cache traffic is observable: ``perf.cache_hits`` / ``perf.cache_misses``
 counters through the active :mod:`repro.obs` registry, mirrored on the
-session itself as :attr:`hits` / :attr:`misses`.
+session itself as :attr:`hits` / :attr:`misses` (one per scored batch).
 """
 
 from __future__ import annotations
@@ -45,11 +60,36 @@ __all__ = ["InferenceSession", "ShardedInferenceSession", "supports_fast_path"]
 def supports_fast_path(model) -> bool:
     """True when ``model`` exposes the frozen-table protocol.
 
-    The protocol is ``embedding_tables()`` plus a ``score_pairs(batch,
-    tables=...)`` that consumes its result — ODNET and its subclasses;
-    baselines without an HSGC fall back to the plain path.
+    The protocol is ``embedding_tables()``, a ``score_pairs(batch,
+    tables=...)`` that consumes its result, and a ``frozen_state()``
+    capturing both — ODNET and its subclasses; baselines without an
+    HSGC fall back to the plain path.
     """
     return hasattr(model, "embedding_tables")
+
+
+def _require_fast_path(model) -> None:
+    if not supports_fast_path(model):
+        raise TypeError(
+            f"{type(model).__name__} does not expose embedding_tables(); "
+            "the frozen-graph fast path needs an HSGC-style model"
+        )
+
+
+def _record_swap(session, start: float, built: float) -> float:
+    """Both sessions' swap bookkeeping.  ``start``..``built`` (load,
+    capture, table build) ran beside reads; ``built``..now excluded
+    them.  Returns the exclusive pause in milliseconds."""
+    pause_ms = (time.perf_counter() - built) * 1000.0
+    session.swaps += 1
+    registry = get_registry()
+    if registry.enabled:
+        registry.counter("perf.swaps").inc()
+        registry.histogram("perf.swap_build_ms").observe(
+            (built - start) * 1000.0
+        )
+        registry.histogram("perf.swap_pause_ms").observe(pause_ms)
+    return pause_ms
 
 
 class InferenceSession:
@@ -64,98 +104,95 @@ class InferenceSession:
     """
 
     def __init__(self, model):
-        if not supports_fast_path(model):
-            raise TypeError(
-                f"{type(model).__name__} does not expose embedding_tables(); "
-                "the frozen-graph fast path needs an HSGC-style model"
-            )
+        _require_fast_path(model)
         self.model = model
         self.hits = 0
         self.misses = 0
-        self._lock = threading.Lock()
-        self._tables = None
-        self._version: int | None = None
-        # Hot-swap discipline: scoring holds the shared side, swap() the
-        # exclusive side, so a mid-traffic weight swap can never be
-        # observed half-applied (load_state_dict walks parameters one
-        # array at a time).
-        self._swap_lock = ReadWriteLock()
         self.swaps = 0
+        self._params = tuple(model.parameters())
+        self._state = None
+        # Serialises the writers of ``_state`` (swap, invalidate, a
+        # reader's rebuild).  A read that finds a fresh state never
+        # touches it; a stale one only try-acquires it.
+        self._writer = threading.Lock()
 
     # ------------------------------------------------------------------
+    def _live_version(self) -> int:
+        return sum(p.version for p in self._params)
+
     @property
     def cached_version(self) -> int | None:
-        """The ``param_version`` the cached tables were computed at."""
-        return self._version
+        """The ``param_version`` the published state was captured at."""
+        state = self._state
+        return None if state is None else state.version
 
     def invalidate(self) -> None:
-        """Drop the cached tables (next call recomputes)."""
-        with self._lock:
-            self._tables = None
-            self._version = None
+        """Mark the published state stale (next call rebuilds)."""
+        with self._writer:
+            if self._state is not None:
+                self._state = dataclasses.replace(self._state, version=None)
+
+    def _lookup(self):
+        """The state to score from; counts one hit or one miss."""
+        state = self._state
+        rebuilt = False
+        stale = state is None or state.version != self._live_version()
+        # In-flight rule: with a writer at work, serve the last published
+        # state; only a session with nothing to serve waits for it.
+        if stale and self._writer.acquire(blocking=state is None):
+            try:
+                state = self._state  # a writer may just have published
+                version = self._live_version()  # read before the capture
+                if state is None or state.version != version:
+                    state = self._state = self.model.frozen_state(version)
+                    self.misses += 1
+                    rebuilt = True
+            finally:
+                self._writer.release()
+        if not rebuilt:
+            # No lock on this path, by design: exact from one thread, and
+            # a lost increment under concurrency costs a diagnostic only.
+            self.hits += 1
+        registry = get_registry()
+        if registry.enabled:
+            registry.counter(
+                "perf.cache_misses" if rebuilt else "perf.cache_hits"
+            ).inc()
+        return state
 
     def tables(self):
         """Return fresh-or-cached embedding tables for the current weights."""
-        version = self.model.param_version
-        with self._lock:
-            if self._tables is not None and version == self._version:
-                self.hits += 1
-                registry = get_registry()
-                if registry.enabled:
-                    registry.counter("perf.cache_hits").inc()
-                return self._tables
-        # Recompute outside the lock: propagation is the expensive part
-        # and concurrent first requests may both compute (both results
-        # are identical; last writer wins).
-        tables = self.model.embedding_tables()
-        with self._lock:
-            self._tables = tables
-            self._version = version
-            self.misses += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("perf.cache_misses").inc()
-        return tables
+        return self._lookup().tables
 
     def swap(self, state: dict, touched_users=None) -> float:
-        """Atomically install a published weight snapshot (hot swap).
+        """Install a published weight snapshot beside live reads (hot swap).
 
-        Takes the writer side of the swap lock — every in-flight
-        ``score_pairs`` finishes first, new ones wait — loads ``state``
-        through ``Module.load_state_dict`` (which bumps the parameter
-        versions), and eagerly recomputes the frozen tables so the swap
-        pays the propagation cost, not the next request.  Concurrent
-        scorers therefore see either the *old* tables+weights or the
-        *new* ones, never a blend.
+        Loads ``state`` through ``Module.load_state_dict`` (which bumps
+        the parameter versions), captures the next frozen state — table
+        build included, so the swap pays the propagation cost, not the
+        next request — and publishes it with one reference assignment.
+        Concurrent scorers keep reading the *old* state until then and
+        the *new* one after, never a blend.
 
         ``touched_users`` is accepted for API parity with
         :meth:`ShardedInferenceSession.apply_snapshot` (the dense
         session always rebuilds its full tables).  Returns the exclusive
-        pause in milliseconds (also observed on ``perf.swap_pause_ms``).
+        pause in milliseconds — here just the publish step (also
+        observed on ``perf.swap_pause_ms``; the build beside reads is
+        ``perf.swap_build_ms``).
         """
-        start = time.perf_counter()
-        self._swap_lock.acquire_write()
-        try:
+        with self._writer:
+            start = time.perf_counter()
             self.model.load_state_dict(state)
-            tables = self.model.embedding_tables()
-            with self._lock:
-                self._tables = tables
-                self._version = self.model.param_version
-        finally:
-            self._swap_lock.release_write()
-        pause_ms = (time.perf_counter() - start) * 1000.0
-        self.swaps += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("perf.swaps").inc()
-            registry.histogram("perf.swap_pause_ms").observe(pause_ms)
-        return pause_ms
+            frozen = self.model.frozen_state(self._live_version())
+            built = time.perf_counter()
+            self._state = frozen
+            return _record_swap(self, start, built)
 
     # ------------------------------------------------------------------
     def score_pairs(self, batch) -> np.ndarray:
-        """Eq. 11 scores through the cached tables (bit-identical)."""
-        with self._swap_lock.read():
-            return self.model.score_pairs(batch, tables=self.tables())
+        """Eq. 11 scores from the published frozen state (bit-identical)."""
+        return self._lookup().score_pairs(batch)
 
 
 def _as_array(value) -> np.ndarray:
@@ -200,13 +237,13 @@ class ShardedInferenceSession:
     ):
         from ..distributed.store import ShardedEmbeddingStore
 
-        if not supports_fast_path(model):
-            raise TypeError(
-                f"{type(model).__name__} does not expose embedding_tables(); "
-                "the frozen-graph fast path needs an HSGC-style model"
-            )
+        _require_fast_path(model)
         self.model = model
-        tables = model.embedding_tables()
+        frozen = model.frozen_state()
+        tables = frozen.tables
+        # The PEC/MMoE/theta capture scoring reads (user rows live in
+        # the stores, city tables in ``_cities``).
+        self._weights = dataclasses.replace(frozen, tables=None)
         self._cities = {
             side: _as_array(tables[side][1]).astype(np.float64)
             for side in ("o", "d")
@@ -223,9 +260,12 @@ class ShardedInferenceSession:
         }
         self.num_users = self._stores["o"].num_rows
         self.num_shards = num_shards
-        # Same hot-swap discipline as the dense session: scoring is the
-        # shared side, apply_snapshot the exclusive side.
+        # Memmap rows are written in place, so unlike the dense session
+        # a row gather is the shared side of a lock and the publish step
+        # of apply_snapshot the exclusive side; ``_writer`` serialises
+        # whole snapshots (their load + build runs outside that lock).
         self._swap_lock = ReadWriteLock()
+        self._writer = threading.Lock()
         self.swaps = 0
 
     # ------------------------------------------------------------------
@@ -266,11 +306,14 @@ class ShardedInferenceSession:
 
     def score_pairs(self, batch) -> np.ndarray:
         """Eq. 11 scores with user rows gathered from the sharded store."""
+        unique, inverse = np.unique(batch.user_ids, return_inverse=True)
+        compact = dataclasses.replace(
+            batch, user_ids=inverse.reshape(np.shape(batch.user_ids))
+        )
+        # The lock covers only the gather: rows are copied out of the
+        # store and everything else is held by reference.
         with self._swap_lock.read():
-            unique, inverse = np.unique(batch.user_ids, return_inverse=True)
-            compact = dataclasses.replace(
-                batch, user_ids=inverse.reshape(np.shape(batch.user_ids))
-            )
+            weights = self._weights
             tables = {
                 side: (
                     self._stores[side].rows(unique).astype(np.float64),
@@ -278,7 +321,7 @@ class ShardedInferenceSession:
                 )
                 for side in ("o", "d")
             }
-            return self.model.score_pairs(compact, tables=tables)
+        return weights.score_pairs(compact, tables=tables)
 
     # ------------------------------------------------------------------
     # PS write-back (per-shard invalidation)
@@ -304,11 +347,13 @@ class ShardedInferenceSession:
             self._stores[side].write_rows(user_ids, fresh)
 
     def apply_snapshot(self, state: dict, touched_users=None) -> float:
-        """Atomically install a published weight snapshot (hot swap).
+        """Install a published weight snapshot beside live reads (hot swap).
 
-        The sharded analogue of :meth:`InferenceSession.swap`: exclusive
-        against in-flight ``score_pairs``, loads ``state`` into the
-        model, refreshes the (small, dense) city tables, and re-spills
+        The sharded analogue of :meth:`InferenceSession.swap`: loads
+        ``state`` into the model, captures the new weights and builds
+        the tables while reads continue on the old rows, then — the only
+        part exclusive against row gathers, because memmap rows are
+        written in place — rebinds weights and city tables and re-spills
         user rows.  With ``touched_users`` (an embedding-only update's
         changed user ids) only *their* shards are re-quantised — every
         untouched shard keeps its version and its hot decoded block,
@@ -316,30 +361,29 @@ class ShardedInferenceSession:
         full update: every user row is rewritten.
 
         Returns the exclusive pause in milliseconds (also observed on
-        ``perf.swap_pause_ms``).
+        ``perf.swap_pause_ms``; the part beside reads is
+        ``perf.swap_build_ms``).
         """
-        start = time.perf_counter()
-        self._swap_lock.acquire_write()
-        try:
+        with self._writer:
+            start = time.perf_counter()
             self.model.load_state_dict(state)
-            tables = self.model.embedding_tables()
+            frozen = self.model.frozen_state()
             if touched_users is None:
                 user_ids = np.arange(self.num_users)
             else:
                 user_ids = np.unique(np.asarray(touched_users))
-            for side in ("o", "d"):
-                self._cities[side] = _as_array(
-                    tables[side][1]
-                ).astype(np.float64)
-                if user_ids.size:
-                    fresh = _as_array(tables[side][0])[user_ids]
-                    self._stores[side].write_rows(user_ids, fresh)
-        finally:
-            self._swap_lock.release_write()
-        pause_ms = (time.perf_counter() - start) * 1000.0
-        self.swaps += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter("perf.swaps").inc()
-            registry.histogram("perf.swap_pause_ms").observe(pause_ms)
-        return pause_ms
+            fresh = {
+                side: (
+                    _as_array(frozen.tables[side][0])[user_ids],
+                    _as_array(frozen.tables[side][1]).astype(np.float64),
+                )
+                for side in ("o", "d")
+            }
+            built = time.perf_counter()
+            with self._swap_lock.write():
+                self._weights = dataclasses.replace(frozen, tables=None)
+                for side, (rows, cities) in fresh.items():
+                    self._cities[side] = cities
+                    if user_ids.size:
+                        self._stores[side].write_rows(user_ids, rows)
+            return _record_swap(self, start, built)

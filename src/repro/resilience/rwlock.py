@@ -1,17 +1,13 @@
-"""A writer-preferring readers-writer lock for hot-swap paths.
+"""A writer-preferring readers-writer lock.
 
-The serving fast path (:class:`repro.perf.InferenceSession`) must let
-many scoring threads run concurrently — serialising them behind a plain
-mutex would erase the micro-batching and cluster wins — yet a weight
-swap (:meth:`~repro.perf.InferenceSession.swap`) has to be *exclusive*:
-``Module.load_state_dict`` mutates parameters one array at a time, and a
-score computed halfway through the walk would blend two model versions.
-
-:class:`ReadWriteLock` gives exactly that shape: any number of readers
-hold the lock together, one writer holds it alone, and a waiting writer
-blocks *new* readers so a steady scoring stream cannot starve the swap
-forever (writers are rare — one per published snapshot — so reader
-throughput is unaffected in the steady state).
+Single user: :class:`repro.perf.ShardedInferenceSession`.  Its user rows
+live in memmaps that ``apply_snapshot`` rewrites *in place*, so a row
+gather (shared side, many at once) must exclude the re-spill (exclusive
+side) or it could read half-written rows.  A waiting writer blocks *new*
+readers so a steady scoring stream cannot starve the swap; writers are
+rare — one per published snapshot.  The dense
+:class:`repro.perf.InferenceSession` needs no lock: it publishes an
+immutable state by reference.
 """
 
 from __future__ import annotations
@@ -62,7 +58,7 @@ class ReadWriteLock:
     # ------------------------------------------------------------------
     @contextmanager
     def read(self):
-        """Shared (reader) scope — the scoring side."""
+        """Shared (reader) scope — the row-gather side."""
         self.acquire_read()
         try:
             yield self
@@ -71,7 +67,7 @@ class ReadWriteLock:
 
     @contextmanager
     def write(self):
-        """Exclusive (writer) scope — the swap side."""
+        """Exclusive (writer) scope — the re-spill side."""
         self.acquire_write()
         try:
             yield self

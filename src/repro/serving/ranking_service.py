@@ -7,7 +7,9 @@ Serving fast path: models exposing the frozen-table protocol (ODNET and
 its subclasses) are scored through a
 :class:`~repro.perf.InferenceSession`, which caches the HSGC
 node-embedding tables across requests and invalidates them when the
-weights move (see :mod:`repro.perf.session` for the contract).  Pass
+weights move (see :mod:`repro.perf.session` for the contract).  Each
+batch is scored from one immutable frozen state the session publishes by
+reference, so a hot swap under traffic is never seen half-applied.  Pass
 ``use_cache=False`` to force the naive re-propagating path (the
 benchmark baseline).
 

@@ -26,13 +26,36 @@ CONFIG = ClusterConfig(
     seed=0,
     startup_timeout_s=180.0,
     drain_timeout_s=30.0,
+    # Spawned workers load numpy afresh, so the BLAS pool size the
+    # ``cluster`` fixture sets in the environment reaches them (a forked
+    # worker keeps the pool this process already started).
+    start_method="spawn",
 )
 
 
 @pytest.fixture(scope="module")
 def cluster():
-    with ServingCluster(CONFIG) as running:
-        yield running
+    """The shared cluster, its workers single-BLAS-threaded and warm.
+
+    ``attempts == 1`` and one routed worker per user hold only while no
+    request outlasts the static hedge delay; one that does is rightly
+    hedged to the other worker.  Two things made requests that slow here
+    without any routing fault.  Test process plus two workers, each with
+    a default BLAS pool, oversubscribe a small box, and requests then
+    intermittently take ~85 ms instead of ~4 ms (measured on 2 cores):
+    the workers are spawned with their pools pinned to one thread, the
+    shape for N replicas a box.  And a worker's first
+    request pays the table build and lazy caches: each is sent one
+    directly, past the gateway.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for pool in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS"):
+            patch.setenv(pool, "1")
+        with ServingCluster(CONFIG) as running:
+            for handle in running.handles:
+                handle.client.recommend({"user_id": 0, "day": 720})
+            yield running
 
 
 class TestServing:
