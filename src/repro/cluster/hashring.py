@@ -7,26 +7,21 @@ hashing keeps that placement stable under membership change: removing
 one worker only remaps the keys that worker owned, instead of reshuffling
 every user the way ``user_id % n`` would during a rolling drain.
 
-Each node is planted ``vnodes`` times on a 64-bit ring (blake2b
-positions); a key walks clockwise to the first virtual node.  Lookup is a
-``bisect`` over the sorted positions — O(log(n·vnodes)).
+Each node is planted ``vnodes`` times on a 64-bit ring; a key walks
+clockwise to the first virtual node.  Positions come from
+:func:`repro.distributed.sharding.stable_hash` (process-independent —
+``hash()`` is salted per interpreter and would desync gateway restarts).
+Lookup is a ``bisect`` over the sorted positions — O(log(n·vnodes)).
 """
 
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Iterable, Sequence
 
+from ..distributed.sharding import stable_hash
+
 __all__ = ["ConsistentHashRing"]
-
-
-def _position(token: str) -> int:
-    """A stable 64-bit ring position for a token (process-independent —
-    ``hash()`` is salted per interpreter and would desync gateway
-    restarts)."""
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
 
 
 class ConsistentHashRing:
@@ -55,7 +50,7 @@ class ConsistentHashRing:
             return
         self._nodes.add(node)
         for v in range(self.vnodes):
-            position = _position(f"{node}#{v}")
+            position = stable_hash(f"{node}#{v}")
             index = bisect.bisect(self._positions, position)
             self._positions.insert(index, position)
             self._owners.insert(index, node)
@@ -77,7 +72,7 @@ class ConsistentHashRing:
         """The node owning ``key`` (first virtual node clockwise)."""
         if not self._positions:
             raise LookupError("hash ring is empty")
-        index = bisect.bisect(self._positions, _position(str(key)))
+        index = bisect.bisect(self._positions, stable_hash(key))
         if index == len(self._positions):
             index = 0
         return self._owners[index]
@@ -89,7 +84,7 @@ class ConsistentHashRing:
         if not self._positions:
             return list(universe)
         wanted = set(universe)
-        start = bisect.bisect(self._positions, _position(str(key)))
+        start = bisect.bisect(self._positions, stable_hash(key))
         ordered: list[str] = []
         for offset in range(len(self._positions)):
             owner = self._owners[(start + offset) % len(self._positions)]

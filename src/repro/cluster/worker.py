@@ -20,6 +20,11 @@ identical, so any worker can answer for any user), wraps it in a guarded
   (a drained lifecycle is terminal by design) and admit again.
 - ``POST /admin/shutdown`` — stop the HTTP loop and exit the process.
 
+With ``ClusterConfig.snapshot_dir`` set, the worker polls a
+:class:`~repro.online.SnapshotFollower` over its scoring session (or
+bare model) at boot and on every reload — the one snapshot-apply every
+serving process uses; ``model_version`` *is* the follower's version.
+
 Every metric the worker emits carries a ``worker`` label via the
 registry's default labels, so gateway-side aggregation can tell the
 replicas apart.
@@ -84,51 +89,38 @@ class WorkerRuntime:
         self.worker_id = worker_id
         self.name = f"w{worker_id}"
         self.model_version = 1
-        self.snapshot_version = 0
         self._admin_lock = threading.Lock()
         self.registry = registry or MetricsRegistry(
             default_labels={"worker": self.name}
         )
         self.recommender = _build_recommender(config, worker_id)
+        self._follower = None
+        if config.snapshot_dir is not None:
+            # Imported lazily: repro.online.loop imports repro.cluster
+            # for its RestartBudget, so a module-level import would cycle.
+            from ..online import SnapshotFollower, SnapshotStore
+
+            ranking = self.recommender.ranking
+            self._follower = SnapshotFollower(
+                SnapshotStore(config.snapshot_dir),
+                ranking.session if ranking.session is not None
+                else ranking.model,
+                name=self.name,
+            )
         # Pre-traffic, so the swap's table build delays no request:
         # a replacement spawned by the supervisor or a rolling restart
         # comes up on the online loop's latest approved snapshot, not on
         # the stale seed weights it was built from.
-        self._load_latest_snapshot()
+        self._follow_snapshots()
 
     # ------------------------------------------------------------------
-    def _load_latest_snapshot(self) -> int | None:
-        """Overlay the newest published snapshot, if the store moved.
-
-        Returns the version applied, or ``None`` when no store is
-        configured / nothing newer is published.  Forward-only, like
-        :class:`repro.online.SnapshotFollower`.
-        """
-        if self.config.snapshot_dir is None:
-            return None
-        # Imported lazily: repro.online.loop imports repro.cluster for
-        # its RestartBudget, so a module-level import here would cycle.
-        from ..online.snapshots import SnapshotStore
-
-        store = SnapshotStore(self.config.snapshot_dir)
-        info = store.current()
-        if info is None or info.version <= self.snapshot_version:
-            return None
-        snapshot = store.load(info.version)
-        # Union the touched sets across every version skipped since the
-        # last load (each snapshot's touched_users is only the delta
-        # since the publish before it); degrades to a full refresh when
-        # any skipped delta is unavailable.  See SnapshotFollower.poll.
-        touched = store.touched_union(self.snapshot_version, snapshot)
-        session = self.recommender.ranking.session
-        if session is not None:
-            session.swap(snapshot.state, touched_users=touched)
-        else:
-            self.recommender.ranking.model.load_state_dict(snapshot.state)
-        self.snapshot_version = info.version
-        self.model_version = info.version
-        self.registry.counter("worker.snapshot_loads").inc()
-        return info.version
+    def _follow_snapshots(self) -> None:
+        """Move to the store's published version if it moved
+        (:meth:`repro.online.SnapshotFollower.poll`: forward-only, and a
+        jump invalidates every skipped version's touched users)."""
+        if self._follower is not None and self._follower.poll() is not None:
+            self.model_version = self._follower.version
+            self.registry.counter("worker.snapshot_loads").inc()
 
     # ------------------------------------------------------------------
     @property
@@ -222,7 +214,7 @@ class WorkerRuntime:
             # With a snapshot store configured the version *is* the
             # store's published version (unchanged when the store hasn't
             # moved — replicas must converge on it); otherwise a bump.
-            self._load_latest_snapshot()
+            self._follow_snapshots()
             if self.config.snapshot_dir is None:
                 self.model_version += 1
             self.recommender.install_guard(

@@ -10,11 +10,12 @@ training samples".
 This module provides the partitioners: parameters are assigned to
 servers by a balanced greedy bin-packing over parameter sizes, training
 samples are split into equal worker shards, and *serving-side* row
-placement (which shard owns a user's embedding row) uses the same
-process-independent blake2b discipline as the cluster's consistent-hash
-ring — ``hash()`` is salted per interpreter and would scatter users
-differently on every restart, desyncing a store written by one process
-from a reader in another.
+placement (which shard owns a user's embedding row) uses
+:func:`stable_hash`, the one process-independent hash in the repo (the
+cluster's consistent-hash ring takes its positions from it too) —
+``hash()`` is salted per interpreter and would scatter users differently
+on every restart, desyncing a store written by one process from a reader
+in another.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import hashlib
 import numpy as np
 
 __all__ = [
+    "stable_hash",
     "hash_shard",
     "hash_shard_many",
     "shard_parameters",
@@ -31,19 +33,20 @@ __all__ = [
 ]
 
 
-def hash_shard(key: int | str, num_shards: int) -> int:
-    """Stable shard index for a key (blake2b, process-independent).
+def stable_hash(key: int | str) -> int:
+    """A 64-bit hash of a key that any process, restart, or machine
+    computes alike: the big-endian blake2b digest of the key's
+    decimal/utf-8 form."""
+    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
-    Mirrors :func:`repro.cluster.hashring._position`: the shard is the
-    64-bit big-endian blake2b digest of the key's decimal/utf-8 form,
-    reduced modulo ``num_shards``.  Any process, any restart, any
-    machine computes the same placement.
-    """
+
+def hash_shard(key: int | str, num_shards: int) -> int:
+    """Stable shard index for a key: :func:`stable_hash` modulo
+    ``num_shards``."""
     if num_shards <= 0:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
-    token = str(key).encode("utf-8")
-    digest = hashlib.blake2b(token, digest_size=8).digest()
-    return int.from_bytes(digest, "big") % num_shards
+    return stable_hash(key) % num_shards
 
 
 def hash_shard_many(keys: np.ndarray, num_shards: int) -> np.ndarray:
@@ -51,17 +54,8 @@ def hash_shard_many(keys: np.ndarray, num_shards: int) -> np.ndarray:
     if num_shards <= 0:
         raise ValueError(f"num_shards must be positive, got {num_shards}")
     keys = np.asarray(keys)
-    blake2b = hashlib.blake2b
-    from_bytes = int.from_bytes
     return np.fromiter(
-        (
-            from_bytes(
-                blake2b(str(key).encode("utf-8"), digest_size=8).digest(),
-                "big",
-            )
-            % num_shards
-            for key in keys.tolist()
-        ),
+        (stable_hash(key) % num_shards for key in keys.tolist()),
         dtype=np.int64,
         count=keys.size,
     )

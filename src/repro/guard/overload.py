@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass
 from threading import Barrier, Thread
 
-import numpy as np
-
+from ..obs.registry import tail_summary
 from .shedder import Priority
 
 __all__ = ["OverloadConfig", "run_overload"]
@@ -65,18 +64,6 @@ class OverloadConfig:
                 f"requests_per_client must be >= 1, got "
                 f"{self.requests_per_client}"
             )
-
-
-def _percentiles(samples: list[float]) -> dict:
-    if not samples:
-        return {"count": 0, "p50_ms": 0.0, "p99_ms": 0.0, "max_ms": 0.0}
-    values = np.asarray(samples)
-    return {
-        "count": len(samples),
-        "p50_ms": round(float(np.percentile(values, 50)), 4),
-        "p99_ms": round(float(np.percentile(values, 99)), 4),
-        "max_ms": round(float(values.max()), 4),
-    }
 
 
 def run_overload(config: OverloadConfig | None = None) -> dict:
@@ -201,8 +188,8 @@ def run_overload(config: OverloadConfig | None = None) -> dict:
             entry["empty"] for entry in per_priority.values()
         ),
         "per_priority": per_priority,
-        "admitted_latency_ms": _percentiles(admitted_latency),
-        "shed_latency_ms": _percentiles(shed_latency),
+        "admitted_latency_ms": tail_summary(admitted_latency, 4, "_ms"),
+        "shed_latency_ms": tail_summary(shed_latency, 4, "_ms"),
         "drained": drained,
         "post_drain_degraded": post_drain.degraded,
         "final_limit": recommender.guard.limiter.limit,

@@ -16,7 +16,7 @@ until a caller opts in:
 Histograms are bucketed (cumulative bucket counts feed the Prometheus
 exporter) but also retain raw samples so :meth:`Histogram.percentile` is
 exact — this is the single percentile implementation the serving-latency
-report is built on.
+report and the drills' reports (:func:`tail_summary`) are built on.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "tail_summary",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
@@ -185,6 +186,25 @@ class Histogram:
 
 
 # ----------------------------------------------------------------------
+def tail_summary(samples, digits: int, suffix: str = "") -> dict:
+    """``count`` / ``p50`` / ``p99`` / ``max`` of raw samples, rounded to
+    ``digits`` — the JSON shape the drill reports use (keys take
+    ``suffix``, e.g. ``"_ms"``; all zeros when there are no samples)."""
+    histogram = Histogram("tail_summary")
+    for sample in samples:
+        histogram.observe(sample)
+
+    def stat(value: float) -> float:
+        return round(value, digits) if histogram.count else 0.0
+
+    return {
+        "count": histogram.count,
+        f"p50{suffix}": stat(histogram.percentile(50)),
+        f"p99{suffix}": stat(histogram.percentile(99)),
+        f"max{suffix}": stat(histogram.max),
+    }
+
+
 class MetricsRegistry:
     """Creates-or-returns named instruments; the process-wide metric store.
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.schema import BookingEvent, ClickEvent, ODPair
+from ..obs.registry import tail_summary
 from ..resilience.chaos import FaultInjector, use_fault_injector
 from .bus import EventBus
 from .loop import OnlineLearningLoop, SnapshotFollower
@@ -421,18 +422,6 @@ def _run_crash_loop(
     return report, env
 
 
-def _percentiles(values: list[float]) -> dict:
-    if not values:
-        return {"count": 0, "p50": 0.0, "p99": 0.0, "max": 0.0}
-    array = np.asarray(values, dtype=np.float64)
-    return {
-        "count": int(array.size),
-        "p50": round(float(np.percentile(array, 50)), 3),
-        "p99": round(float(np.percentile(array, 99)), 3),
-        "max": round(float(array.max()), 3),
-    }
-
-
 def run_online_drill(
     config: OnlineDrillConfig | None = None,
     directory: str | pathlib.Path | None = None,
@@ -480,8 +469,8 @@ def run_online_drill(
             "happy": happy,
             "crash_matrix": crash_matrix,
             "crash_loop": crash_loop,
-            "update_lag_ms": _percentiles(lags),
-            "swap_pause_ms": _percentiles(pauses),
+            "update_lag_ms": tail_summary(lags, 3),
+            "swap_pause_ms": tail_summary(pauses, 3),
             "update_lag_budget_ms": config.update_lag_budget_ms,
             "torn_reads_total": torn,
             "serving_errors_total": serving_errors,

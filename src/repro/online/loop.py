@@ -9,16 +9,18 @@ Two halves, deliberately decoupled by the :class:`SnapshotStore`:
   (bookings as labels), runs SGD over the backlog, and offers candidate
   snapshots to the shadow gate.
 
-- :class:`SnapshotFollower` is the **read side**: any serving process
-  polls the store's pointer and hot-swaps newly promoted versions into
-  its :class:`~repro.perf.InferenceSession` /
-  :class:`~repro.perf.ShardedInferenceSession` (or a bare model) through
-  the sanctioned swap APIs.  Those build the next frozen scoring state
-  beside live reads and publish it by reference (see
-  :mod:`repro.perf.session`), so a poll never stalls a request for the
-  table build and a request never sees two versions.  Followers never
-  talk to the trainer; a trainer crash is invisible to them beyond the
-  pointer going quiet.
+- :class:`SnapshotFollower` is the **read side**, and the only
+  snapshot-apply in the repo: any serving process (the drills, the
+  benchmark, every cluster worker) polls the store's pointer and
+  hot-swaps newly promoted versions into its
+  :class:`~repro.perf.InferenceSession` /
+  :class:`~repro.perf.ShardedInferenceSession` through their one verb,
+  ``swap`` (a bare model gets ``load_state_dict``).  Both sessions
+  build the next frozen scoring state beside live reads and publish it
+  by reference (see :mod:`repro.perf.session`), so a poll never stalls
+  a request for the table build and a request never sees two versions.
+  Followers never talk to the trainer; a trainer crash is invisible to
+  them beyond the pointer going quiet.
 
 Crash containment mirrors the cluster supervisor's philosophy: a
 trainer exception (including injected publish faults) costs one token of
@@ -47,14 +49,14 @@ __all__ = ["SnapshotFollower", "OnlineLearningLoop"]
 class SnapshotFollower:
     """Polls the pointer and hot-swaps new versions into one target.
 
-    ``target`` may be an :class:`~repro.perf.InferenceSession` (uses
-    :meth:`swap`), a :class:`~repro.perf.ShardedInferenceSession` (uses
-    :meth:`apply_snapshot` with the touched-user union across every
-    version applied by the jump — see
-    :meth:`SnapshotStore.touched_union` — for per-shard
-    invalidation), or any ``Module`` (plain
-    ``load_state_dict``).  The pointer is forward-only, so ``poll()``
-    applies a version at most once and never moves backwards.
+    ``target`` is anything with ``swap(state, touched_users=...)`` — an
+    :class:`~repro.perf.InferenceSession` or a
+    :class:`~repro.perf.ShardedInferenceSession`, which gets the
+    touched-user union across every version applied by the jump (see
+    :meth:`SnapshotStore.touched_union`) for per-shard invalidation —
+    or else any ``Module`` (plain ``load_state_dict``).  The pointer is
+    forward-only, so ``poll()`` applies a version at most once and never
+    moves backwards.
     """
 
     def __init__(
@@ -90,10 +92,6 @@ class SnapshotFollower:
         return max(0.0, self.time_source() - self._published_unix)
 
     def _apply(self, snapshot, touched) -> float:
-        if hasattr(self.target, "apply_snapshot"):
-            return self.target.apply_snapshot(
-                snapshot.state, touched_users=touched
-            )
         if hasattr(self.target, "swap"):
             return self.target.swap(snapshot.state, touched_users=touched)
         start = time.perf_counter()

@@ -36,9 +36,7 @@ crash matrix drills: ``online.publish.pre_write``,
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -46,6 +44,7 @@ import numpy as np
 
 from ..obs.registry import get_registry
 from ..resilience.chaos import inject
+from ..train.checkpoint import atomic_write
 
 __all__ = ["SnapshotError", "SnapshotInfo", "Snapshot", "SnapshotStore"]
 
@@ -74,14 +73,6 @@ class Snapshot:
     state: dict[str, np.ndarray]
     metadata: dict
     published_unix: float
-
-
-def _fsync_dir(directory: pathlib.Path) -> None:
-    fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 class SnapshotStore:
@@ -293,25 +284,12 @@ class SnapshotStore:
         target = self.directory / self._file_name(version)
 
         # --- phase 1: write-all, fsync, rename to the immutable name --
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=target.stem + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(handle, **payload)
-                handle.flush()
-                # Payload bytes written but not yet durable nor named: a
-                # crash here is the canonical torn write.
-                inject("online.publish.mid_write")
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, target)
-            _fsync_dir(self.directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(target) as handle:
+            np.savez(handle, **payload)
+            handle.flush()
+            # Payload bytes written but not yet durable nor named: a
+            # crash here is the canonical torn write.
+            inject("online.publish.mid_write")
 
         # Snapshot durable, pointer still old — the crash the serving
         # side must shrug off by staying on the previous version.
@@ -337,27 +315,12 @@ class SnapshotStore:
                 f"refusing to flip the pointer backwards: "
                 f"v{version} <= current v{current}"
             )
-        pointer = self.directory / _POINTER
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=_POINTER + ".", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump({
-                    "version": version,
-                    "file": file_name,
-                    "published_unix": published_unix,
-                }, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, pointer)
-            _fsync_dir(self.directory)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_write(self.directory / _POINTER, "w") as handle:
+            json.dump({
+                "version": version,
+                "file": file_name,
+                "published_unix": published_unix,
+            }, handle)
 
     def _prune(self, keep_last: int, current: int) -> None:
         """Drop old immutable snapshots; never the current one."""

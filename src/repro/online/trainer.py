@@ -23,7 +23,7 @@ Update modes
     tables/layers — never on other users' rows — so exactly the users
     that appeared in training batches have changed serving rows.  The
     snapshot carries that set as ``touched_users`` and
-    :meth:`~repro.perf.ShardedInferenceSession.apply_snapshot` can
+    :meth:`~repro.perf.ShardedInferenceSession.swap` can
     invalidate only their shards.  This is the classic production
     split: hot per-user personalisation online, cold global retrain
     offline.  (With ``momentum > 0`` velocity keeps nudging previously

@@ -20,6 +20,10 @@ the next state beside the reads, which keep scoring from the old one;
 publishing is one assignment.  :mod:`repro.core.fused` says why a
 capture needs no copy.
 
+Both sessions install a published snapshot through one verb,
+``swap(state, touched_users=None)`` — what
+:class:`~repro.online.SnapshotFollower` calls on whichever it follows.
+
 Invalidation contract
 ---------------------
 A state is fresh while its version equals the sum of ``Parameter.version``
@@ -175,8 +179,8 @@ class InferenceSession:
         the *new* one after, never a blend.
 
         ``touched_users`` is accepted for API parity with
-        :meth:`ShardedInferenceSession.apply_snapshot` (the dense
-        session always rebuilds its full tables).  Returns the exclusive
+        :meth:`ShardedInferenceSession.swap` (the dense session always
+        rebuilds its full tables).  Returns the exclusive
         pause in milliseconds — here just the publish step (also
         observed on ``perf.swap_pause_ms``; the build beside reads is
         ``perf.swap_build_ms``).
@@ -262,7 +266,7 @@ class ShardedInferenceSession:
         self.num_shards = num_shards
         # Memmap rows are written in place, so unlike the dense session
         # a row gather is the shared side of a lock and the publish step
-        # of apply_snapshot the exclusive side; ``_writer`` serialises
+        # of swap the exclusive side; ``_writer`` serialises
         # whole snapshots (their load + build runs outside that lock).
         self._swap_lock = ReadWriteLock()
         self._writer = threading.Lock()
@@ -346,7 +350,7 @@ class ShardedInferenceSession:
             fresh = _as_array(tables[side][0])[user_ids]
             self._stores[side].write_rows(user_ids, fresh)
 
-    def apply_snapshot(self, state: dict, touched_users=None) -> float:
+    def swap(self, state: dict, touched_users=None) -> float:
         """Install a published weight snapshot beside live reads (hot swap).
 
         The sharded analogue of :meth:`InferenceSession.swap`: loads

@@ -1,7 +1,7 @@
 """A writer-preferring readers-writer lock.
 
 Single user: :class:`repro.perf.ShardedInferenceSession`.  Its user rows
-live in memmaps that ``apply_snapshot`` rewrites *in place*, so a row
+live in memmaps that ``swap`` rewrites *in place*, so a row
 gather (shared side, many at once) must exclude the re-spill (exclusive
 side) or it could read half-written rows.  A waiting writer blocks *new*
 readers so a steady scoring stream cannot starve the swap; writers are

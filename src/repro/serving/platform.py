@@ -10,6 +10,11 @@ This is the main end-to-end public API of the reproduction:
 >>> recommender = FlightRecommender(model, dataset)           # doctest: +SKIP
 >>> response = recommender.recommend(user_id=7, day=720, k=5) # doctest: +SKIP
 
+There is one request pipeline: ``recommend`` is ``recommend_many`` of
+one.  Both entry points only check arguments and admit the call, then
+run the same stages — features and recall per request, ONE rank stage
+per call, one finish — so everything below holds for either.
+
 Every request is observable (see :mod:`repro.obs`): under an active
 :class:`~repro.obs.tracing.Tracer` the stages emit nested ``features`` /
 ``recall`` / ``rank`` spans inside a root ``recommend`` span, the active
@@ -298,123 +303,10 @@ class FlightRecommender:
         expired budget, or a refused admission; it degrades and reports
         how in the response's ``degraded``/``fallbacks`` metadata.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        deadline = self._resolve_deadline(deadline)
-        if self.guard is None:
-            return self._recommend_inner(user_id, day, k, deadline)
-        try:
-            permit = self.guard.admit(priority=priority, deadline=deadline)
-        except AdmissionRejected as rejection:
-            return self._shed_response(user_id, day, k, rejection)
-        try:
-            return self._recommend_inner(user_id, day, k, deadline)
-        finally:
-            permit.release()
+        return self._admit_and_serve(
+            [(user_id, day)], k, self._resolve_deadline(deadline), priority
+        )[0]
 
-    def _recommend_inner(
-        self,
-        user_id: int,
-        day: int,
-        k: int,
-        deadline: Deadline | None,
-    ) -> RecommendationResponse:
-        events: list[FallbackEvent] = []
-        tracer = get_tracer()
-        start = time.perf_counter()
-        with tracer.span("recommend", user_id=user_id, day=day, k=k):
-            # Stage 1 — features: unknown users get a cold-start profile.
-            with tracer.span("features"):
-                stage_start = time.perf_counter()
-                try:
-                    history = self.features.user_history(user_id, day)
-                except KeyError:
-                    events.append(record_fallback("features", "cold_start"))
-                    history = self.cold_start_history(user_id)
-                except Exception as exc:
-                    events.append(record_fallback(
-                        "features", f"error:{type(exc).__name__}"
-                    ))
-                    history = self.cold_start_history(user_id)
-                self._observe_stage(deadline, "features", stage_start)
-
-            # Stage 2 — recall: degrade to globally popular routes.
-            with tracer.span("recall") as recall_span:
-                stage_start = time.perf_counter()
-                candidates, event = run_with_fallback(
-                    FallbackPolicy(
-                        site="recall",
-                        fallback=lambda: self.recall.popular_pairs(),
-                    ),
-                    lambda: self.recall.candidate_pairs(history),
-                    deadline=deadline,
-                )
-                if event is None and not candidates:
-                    event = record_fallback("recall", "empty")
-                    candidates = self.recall.popular_pairs()
-                if event is not None:
-                    events.append(event)
-                recall_span.set_tag("candidates", len(candidates))
-                self._observe_stage(deadline, "recall", stage_start)
-
-            # Stage 3 — rank: retry + breaker + deadline; degrade to
-            # popularity ordering when the model cannot score.  With a
-            # micro-batcher the forward is shared with concurrent
-            # requests; a failed batch degrades each caller individually.
-            if self.batcher is not None:
-                request_deadline = deadline
-
-                def _rank():
-                    return self.batcher.submit(
-                        (history, candidates, day, k),
-                        deadline=request_deadline,
-                    )
-            else:
-                def _rank():
-                    return self.ranking.rank(history, candidates, day=day, k=k)
-
-            with tracer.span("rank") as rank_span:
-                stage_start = time.perf_counter()
-                ranked, event = run_with_fallback(
-                    FallbackPolicy(
-                        site="rank",
-                        fallback=lambda: self.popularity_rank(candidates, k),
-                        retry=self.resilience.retry,
-                        breaker=self.rank_breaker,
-                    ),
-                    _rank,
-                    deadline=deadline,
-                )
-                if event is not None:
-                    events.append(event)
-                rank_span.set_tag("returned", len(ranked))
-                rank_span.set_tag("degraded", event is not None)
-                self._observe_stage(deadline, "rank", stage_start)
-
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        registry = get_registry()
-        registry.counter("serving.requests").inc()
-        registry.counter("serving.candidates").inc(len(candidates))
-        registry.histogram("serving.latency_ms").observe(latency_ms)
-        if events:
-            registry.counter("serving.degraded_requests").inc()
-        if self.profiler is not None:
-            self.profiler.on_request(
-                user_id=user_id,
-                day=day,
-                latency_ms=latency_ms,
-                num_candidates=len(candidates),
-                k=k,
-            )
-        return RecommendationResponse(
-            user_id=user_id,
-            day=day,
-            flights=ranked,
-            degraded=bool(events),
-            fallbacks=events,
-        )
-
-    # ------------------------------------------------------------------
     def recommend_many(
         self,
         requests: list[tuple[int, int]],
@@ -423,78 +315,163 @@ class FlightRecommender:
     ) -> list[RecommendationResponse]:
         """Serve several ``(user_id, day)`` requests with ONE rank forward.
 
-        The synchronous batch API: features and recall run per request
-        (they are per-user work), then every candidate set is scored in a
-        single micro-batched ``rank_many`` pass.  Results match
-        :meth:`recommend` called request by request; a failing batch
-        degrades every request to popularity ordering.  With a guard
-        configured the whole call takes one admission slot (default
-        priority ``BATCH`` — bulk work sheds before interactive traffic);
-        a refused batch degrades every request to the shed response.
+        The bulk entry point of the pipeline :meth:`recommend` runs:
+        features and recall per request (they are per-user work), then
+        one ``rank_many`` pass behind the same retry / breaker /
+        deadline policy, so a failing forward degrades every request to
+        popularity ordering with the reasons :meth:`recommend` reports.
+        The configured ``resilience.deadline_ms`` budgets the whole
+        call, and with a guard it takes one admission slot (default
+        priority ``BATCH`` — bulk work sheds before interactive
+        traffic); a refused call sheds every request.
         """
         if not requests:
             return []
-        permit = None
-        if self.guard is not None:
-            try:
-                permit = self.guard.admit(priority=priority)
-            except AdmissionRejected as rejection:
-                return [
-                    self._shed_response(user_id, day, k, rejection)
-                    for user_id, day in requests
-                ]
-        try:
-            return self._recommend_many_inner(requests, k)
-        finally:
-            if permit is not None:
-                permit.release()
+        return self._admit_and_serve(
+            requests, k, self._resolve_deadline(None), priority
+        )
 
-    def _recommend_many_inner(
-        self, requests: list[tuple[int, int]], k: int
+    def _admit_and_serve(
+        self,
+        requests: list[tuple[int, int]],
+        k: int,
+        deadline: Deadline | None,
+        priority: Priority,
     ) -> list[RecommendationResponse]:
-        prepared = []
-        for user_id, day in requests:
-            events: list[FallbackEvent] = []
-            try:
-                history = self.features.user_history(user_id, day)
-            except Exception:
-                events.append(record_fallback("features", "cold_start"))
-                history = self.cold_start_history(user_id)
-            candidates, event = run_with_fallback(
-                FallbackPolicy(
-                    site="recall",
-                    fallback=lambda: self.recall.popular_pairs(),
-                ),
-                lambda: self.recall.candidate_pairs(history),
-            )
-            if event is None and not candidates:
-                event = record_fallback("recall", "empty")
-                candidates = self.recall.popular_pairs()
-            if event is not None:
-                events.append(event)
-            prepared.append((user_id, day, history, candidates, events))
-
+        """Admit the call once, then run the pipeline over its requests."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if self.guard is None:
+            return self._serve(requests, k, deadline)
         try:
-            ranked_lists = self.ranking.rank_many(
-                [(history, candidates, day)
-                 for _, day, history, candidates, _ in prepared],
-                k=k,
-            )
-        except Exception:
-            ranked_lists = []
-            for _, _, _, candidates, events in prepared:
-                events.append(record_fallback("rank", "batch_error"))
-                ranked_lists.append(self.popularity_rank(candidates, k))
+            permit = self.guard.admit(priority=priority, deadline=deadline)
+        except AdmissionRejected as rejection:
+            return [
+                self._shed_response(user_id, day, k, rejection)
+                for user_id, day in requests
+            ]
+        try:
+            return self._serve(requests, k, deadline)
+        finally:
+            permit.release()
 
+    def _serve(
+        self,
+        requests: list[tuple[int, int]],
+        k: int,
+        deadline: Deadline | None,
+    ) -> list[RecommendationResponse]:
+        """The one request pipeline: features + recall per request, one
+        rank stage per call, one finish."""
+        tracer = get_tracer()
+        start = time.perf_counter()
+        if len(requests) == 1:
+            (user_id, day), = requests
+            tags = {"user_id": user_id, "day": day, "k": k}
+        else:
+            tags = {"requests": len(requests), "k": k}
+        items = []      # one (history, candidates, day) per request
+        fallbacks = []  # one list of FallbackEvents per request
+        with tracer.span("recommend", **tags):
+            for user_id, day in requests:
+                events: list[FallbackEvent] = []
+                # Stage 1 — features: unknown users get a cold start.
+                with tracer.span("features"):
+                    stage_start = time.perf_counter()
+                    try:
+                        history = self.features.user_history(user_id, day)
+                    except KeyError:
+                        events.append(
+                            record_fallback("features", "cold_start")
+                        )
+                        history = self.cold_start_history(user_id)
+                    except Exception as exc:
+                        events.append(record_fallback(
+                            "features", f"error:{type(exc).__name__}"
+                        ))
+                        history = self.cold_start_history(user_id)
+                    self._observe_stage(deadline, "features", stage_start)
+
+                # Stage 2 — recall: degrade to globally popular routes.
+                with tracer.span("recall") as recall_span:
+                    stage_start = time.perf_counter()
+                    candidates, event = run_with_fallback(
+                        FallbackPolicy(
+                            site="recall",
+                            fallback=lambda: self.recall.popular_pairs(),
+                        ),
+                        lambda: self.recall.candidate_pairs(history),
+                        deadline=deadline,
+                    )
+                    if event is None and not candidates:
+                        event = record_fallback("recall", "empty")
+                        candidates = self.recall.popular_pairs()
+                    if event is not None:
+                        events.append(event)
+                    recall_span.set_tag("candidates", len(candidates))
+                    self._observe_stage(deadline, "recall", stage_start)
+                items.append((history, candidates, day))
+                fallbacks.append(events)
+
+            # Stage 3 — rank: one forward for the call behind retry +
+            # breaker + deadline; degrade to popularity ordering when the
+            # model cannot score.  With a micro-batcher a one-request
+            # call shares its forward with concurrent callers instead; a
+            # failed batch degrades each caller individually.
+            if self.batcher is not None and len(items) == 1:
+                (history, candidates, day), = items
+
+                def _rank():
+                    return [self.batcher.submit(
+                        (history, candidates, day, k), deadline=deadline
+                    )]
+            else:
+                def _rank():
+                    return self.ranking.rank_many(items, k=k)
+
+            with tracer.span("rank") as rank_span:
+                stage_start = time.perf_counter()
+                ranked, event = run_with_fallback(
+                    FallbackPolicy(
+                        site="rank",
+                        fallback=lambda: [
+                            self.popularity_rank(candidates, k)
+                            for _, candidates, _ in items
+                        ],
+                        retry=self.resilience.retry,
+                        breaker=self.rank_breaker,
+                    ),
+                    _rank,
+                    deadline=deadline,
+                )
+                if event is not None:
+                    for events in fallbacks:
+                        events.append(event)
+                rank_span.set_tag("returned", sum(len(top) for top in ranked))
+                rank_span.set_tag("degraded", event is not None)
+                self._observe_stage(deadline, "rank", stage_start)
+
+        # Every request of a call waited for the whole call, so that is
+        # the latency each one reports.
+        latency_ms = (time.perf_counter() - start) * 1000.0
         registry = get_registry()
         responses = []
-        for (user_id, day, _, candidates, events), flights in zip(
-            prepared, ranked_lists
+        for (user_id, day), (_, candidates, _), events, flights in zip(
+            requests, items, fallbacks, ranked
         ):
             registry.counter("serving.requests").inc()
             registry.counter("serving.candidates").inc(len(candidates))
+            registry.histogram("serving.latency_ms").observe(latency_ms)
             if events:
                 registry.counter("serving.degraded_requests").inc()
+            if self.profiler is not None:
+                self.profiler.on_request(
+                    user_id=user_id,
+                    day=day,
+                    latency_ms=latency_ms,
+                    num_candidates=len(candidates),
+                    k=k,
+                )
             responses.append(RecommendationResponse(
                 user_id=user_id,
                 day=day,

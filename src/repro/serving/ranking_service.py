@@ -13,10 +13,13 @@ reference, so a hot swap under traffic is never seen half-applied.  Pass
 ``use_cache=False`` to force the naive re-propagating path (the
 benchmark baseline).
 
+One rank stage: :meth:`RankingService.rank_many` encodes, scores and
+cuts any number of requests in one forward, and
+:meth:`RankingService.rank` is ``rank_many`` of one request.
+
 Tie determinism: candidates with exactly equal scores are returned in
-candidate order.  Both :meth:`RankingService.rank` and
-:meth:`RankingService.rank_many` select through one vectorized
-segment-wise top-k (:meth:`RankingService._segment_top_k`): a row-wise
+candidate order.  Selection is one vectorized segment-wise top-k
+(:meth:`RankingService._segment_top_k`): a row-wise
 ``np.partition`` finds each segment's k-th score, strictly-greater
 scores are taken outright, boundary ties are resolved in candidate
 order by a cumulative count, and one stable ``np.lexsort`` orders every
@@ -153,25 +156,12 @@ class RankingService:
         day: int,
         k: int = 10,
     ) -> list[ScoredPair]:
-        """Return the top-``k`` candidates by model score, descending."""
-        if not candidates:
-            return []
-        tracer = get_tracer()
-        point = DecisionPoint(
-            history=history,
-            # Target is unknown at serving time; labels in the batch are
-            # ignored by score_pairs.
-            target=candidates[0],
-            day=day,
-        )
-        with tracer.span("rank.batch"):
-            batch = self.dataset.batch_for_candidates(point, candidates)
-        with tracer.span("rank.score"):
-            get_fault_injector().inject("rank.score")
-            scores = self._score(batch)
-        get_registry().counter("ranking.scored_pairs").inc(len(candidates))
-        counts = np.array([len(candidates)], dtype=np.int64)
-        return self._segment_top_k([candidates], scores, counts, k)[0]
+        """Return the top-``k`` candidates by model score, descending.
+
+        :meth:`rank_many` of one request — the same batch shape, so the
+        scores are bit-identical.
+        """
+        return self.rank_many([(history, candidates, day)], k=k)[0]
 
     def rank_many(
         self,
@@ -181,11 +171,12 @@ class RankingService:
         """Rank several ``(history, candidates, day)`` requests in ONE
         model forward — the micro-batched scoring path.
 
-        Results are per-request and equivalent to calling :meth:`rank`
-        request by request: same encoding, same stable top-k.  Scores may
-        differ from the one-request path in the last float bits (BLAS
-        picks different summation orders for different batch shapes);
-        ties are still broken by candidate order.
+        The one implementation of the rank stage (:meth:`rank` is this
+        with one request).  Results are per-request: same encoding, same
+        stable top-k.  A request's scores may differ between batches of
+        different sizes in the last float bits (BLAS picks different
+        summation orders for different batch shapes); ties are still
+        broken by candidate order.
         """
         if not requests:
             return []
@@ -195,6 +186,8 @@ class RankingService:
         segments: list[list[ODPair]] = []
         for index, (history, candidates, day) in enumerate(requests):
             if candidates:
+                # Target is unknown at serving time; labels in the batch
+                # are ignored by score_pairs.
                 point = DecisionPoint(
                     history=history, target=candidates[0], day=day
                 )

@@ -5,16 +5,17 @@ the weights to the Ranking Service System; this module is the laptop-scale
 equivalent so a trained ODNET can be persisted and served later without
 retraining.
 
-Saves are *atomic*: the archive is written to a temp file in the target
-directory and ``os.replace``d into place, so a crash mid-write can never
-leave a truncated checkpoint behind — a reader sees the old file or the
-new one, nothing in between.  Loads raise :class:`CheckpointError` (not a
-raw ``zipfile``/``KeyError`` traceback) for missing, truncated, or
-corrupt archives.
+Saves are *atomic* (:func:`atomic_write`, the one write-temp → fsync →
+rename sequence in the repo; the online snapshot store publishes through
+it too), so a crash mid-write can never leave a truncated checkpoint
+behind — a reader sees the old file or the new one, nothing in between.
+Loads raise :class:`CheckpointError` (not a raw ``zipfile``/``KeyError``
+traceback) for missing, truncated, or corrupt archives.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -23,7 +24,9 @@ import zipfile
 
 import numpy as np
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint"]
+__all__ = [
+    "CheckpointError", "atomic_write", "save_checkpoint", "load_checkpoint",
+]
 
 _META_KEY = "__checkpoint_meta__"
 
@@ -32,12 +35,46 @@ class CheckpointError(RuntimeError):
     """A checkpoint file is missing, truncated, or otherwise unreadable."""
 
 
+@contextlib.contextmanager
+def atomic_write(path: str | pathlib.Path, mode: str = "wb"):
+    """Write ``path`` so a reader sees the old file or the new, never a
+    torn one: yields a handle on a temp file; a clean exit flushes,
+    fsyncs, ``os.replace``s it into place and fsyncs the directory (the
+    rename itself must survive a power cut).
+
+    The temp file lives in the *target* directory so ``os.replace``
+    stays on one filesystem (cross-device renames are not atomic).  Any
+    exception removes it and propagates; a killed process leaves a
+    ``*.tmp`` that nothing references.
+    """
+    path = pathlib.Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 def save_checkpoint(model, path: str | pathlib.Path,
                     metadata: dict | None = None) -> pathlib.Path:
     """Persist a model's ``state_dict`` (plus optional JSON metadata).
 
-    The write is atomic: a temp file in the destination directory is
-    fsync'd and renamed over ``path``.
+    The write is atomic (:func:`atomic_write`).
     """
     path = pathlib.Path(path)
     if path.suffix != ".npz":
@@ -52,23 +89,8 @@ def save_checkpoint(model, path: str | pathlib.Path,
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    # Temp file in the *target* directory so os.replace stays on one
-    # filesystem (cross-device renames are not atomic).
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with atomic_write(path) as handle:
+        np.savez_compressed(handle, **payload)
     return path
 
 

@@ -123,3 +123,40 @@ class TestHashShard:
         mean = 10_000 / 16
         assert counts.min() > 0.7 * mean
         assert counts.max() < 1.3 * mean
+
+
+class TestPlacementsDoNotMove:
+    """Golden values read at the commit before ``stable_hash`` replaced
+    the ring's and the shards' own blake2b calls: a change to the shared
+    hash would silently re-home every user and desync every store on
+    disk, so ring positions, shard indices and ring owners are pinned."""
+
+    KEYS = [0, 1, 7, 42, 1000, 123456789, "w0#0", "w1#63", "user:7", ""]
+    POSITIONS = [
+        9523843951405948789, 17797172410793473910, 16667848380713045890,
+        6319743179241711738, 7575330518282793474, 9111887879481234737,
+        11550907120429369735, 5206050530288179078, 11144460159094613434,
+        16476032584258269876,
+    ]
+    SHARDS_OF_64 = [53, 54, 2, 58, 2, 49, 7, 6, 58, 52]
+
+    def test_stable_hash_values(self):
+        from repro.distributed.sharding import stable_hash
+
+        assert [stable_hash(key) for key in self.KEYS] == self.POSITIONS
+
+    def test_shard_indices(self):
+        assert [hash_shard(key, 64) for key in self.KEYS] == self.SHARDS_OF_64
+        assert hash_shard_many(
+            np.array(self.KEYS[:6]), 64
+        ).tolist() == self.SHARDS_OF_64[:6]
+
+    def test_ring_owners(self):
+        from repro.cluster import ConsistentHashRing
+
+        ring = ConsistentHashRing(["w0", "w1", "w2"])
+        assert [ring.lookup(key) for key in range(12)] == [
+            "w0", "w2", "w0", "w2", "w0", "w2",
+            "w0", "w0", "w0", "w2", "w2", "w2",
+        ]
+        assert ring.preference(7, ["w0", "w1", "w2"]) == ["w0", "w2", "w1"]

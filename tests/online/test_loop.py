@@ -173,8 +173,8 @@ class RecordingTarget:
 
 
 class RecordingShardedTarget(RecordingTarget):
-    def apply_snapshot(self, state, touched_users=None):
-        self.swaps.append(("apply_snapshot", touched_users))
+    def swap(self, state, touched_users=None):
+        self.swaps.append(("swap", touched_users))
         return 0.5
 
 
@@ -197,12 +197,12 @@ class TestSnapshotFollower:
         assert len(follower.pause_history_ms) == 2
         assert follower.staleness_s >= 0.0
 
-    def test_prefers_apply_snapshot_over_swap(self, store):
+    def test_prefers_swap_over_swap(self, store):
         target = RecordingShardedTarget()
         follower = SnapshotFollower(store, target)
         store.publish({"w": np.ones(3)}, {"touched_users": [7]})
         follower.poll()
-        assert target.swaps == [("apply_snapshot", [7])]
+        assert target.swaps == [("swap", [7])]
 
     def test_jump_unions_touched_users_across_skipped_versions(self, store):
         target = RecordingShardedTarget()
@@ -215,7 +215,7 @@ class TestSnapshotFollower:
         store.publish({"w": np.full(3, 2.0)}, {"touched_users": [2]})
         store.publish({"w": np.full(3, 3.0)}, {"touched_users": [3]})
         assert follower.poll() == 3
-        assert target.swaps[-1] == ("apply_snapshot", [2, 3])
+        assert target.swaps[-1] == ("swap", [2, 3])
 
     def test_jump_over_full_refresh_refreshes_fully(self, store):
         target = RecordingShardedTarget()
@@ -225,7 +225,7 @@ class TestSnapshotFollower:
         store.publish({"w": np.full(3, 2.0)}, {"touched_users": None})
         store.publish({"w": np.full(3, 3.0)}, {"touched_users": [3]})
         follower.poll()
-        assert target.swaps[-1] == ("apply_snapshot", None)
+        assert target.swaps[-1] == ("swap", None)
 
     def test_loop_polls_followers_every_tick(self, store, clock):
         target = RecordingTarget()

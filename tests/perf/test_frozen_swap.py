@@ -39,7 +39,7 @@ def serving(request, od_dataset, tmp_path):
     session = ShardedInferenceSession(
         model, tmp_path, num_shards=8, max_hot_shards=4
     )
-    return session, session.apply_snapshot
+    return session, session.swap
 
 
 def _version_digests(session, install, states, probe):

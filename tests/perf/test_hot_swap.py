@@ -1,7 +1,7 @@
 """Concurrent hot-swap: every observed score is one version, never a blend.
 
 The bit-identity contract the online loop's followers rely on: while
-:meth:`InferenceSession.swap` / :meth:`ShardedInferenceSession.apply_snapshot`
+:meth:`InferenceSession.swap` / :meth:`ShardedInferenceSession.swap`
 installs a snapshot mid-traffic, a concurrent ``score_pairs`` must return
 scores computed entirely from the *old* weights or entirely from the
 *new* ones.  A single mixed-version vector is a torn read.
@@ -140,14 +140,14 @@ class TestShardedSessionHotSwap:
             num_shards=8, max_hot_shards=4,
         )
 
-    def test_apply_snapshot_is_deterministic(self, session, states, probe):
+    def test_swap_is_deterministic(self, session, states, probe):
         state_a, state_b = states
-        session.apply_snapshot(state_a)
+        session.swap(state_a)
         digest_a = _digest(session.score_pairs(probe))
-        session.apply_snapshot(state_b)
+        session.swap(state_b)
         digest_b = _digest(session.score_pairs(probe))
         assert digest_a != digest_b
-        session.apply_snapshot(state_a)
+        session.swap(state_a)
         assert _digest(session.score_pairs(probe)) == digest_a
 
     def test_touched_users_preserves_untouched_shards(self, session,
@@ -159,7 +159,7 @@ class TestShardedSessionHotSwap:
             (side, shard): session.shard_version(side, shard)
             for side in ("o", "d") for shard in range(8)
         }
-        session.apply_snapshot(state_b, touched_users=[user])
+        session.swap(state_b, touched_users=[user])
         for (side, shard), version in before.items():
             now = session.shard_version(side, shard)
             if shard == touched_shard:
@@ -172,13 +172,13 @@ class TestShardedSessionHotSwap:
     def test_concurrent_applies_never_blend(self, session, states, probe):
         expected = set()
         for state in states:
-            session.apply_snapshot(state)
+            session.swap(state)
             expected.add(_digest(session.score_pairs(probe)))
         assert len(expected) == 2
 
         with _Hammer(lambda: session.score_pairs(probe), threads=3) as hammer:
             for i in range(10):
-                session.apply_snapshot(states[i % 2])
+                session.swap(states[i % 2])
         assert hammer.errors == []
         assert hammer.scored > 0
         torn = hammer.digests - expected
