@@ -20,6 +20,7 @@ import numpy as np
 
 from ..core.base import Ranker
 from ..data.dataset import ODBatch, ODDataset
+from ..tensor.functional import sigmoid
 
 __all__ = ["GBDTRanker", "GradientBoostingClassifier", "RegressionTree"]
 
@@ -162,10 +163,6 @@ class GradientBoostingClassifier:
         self._trees: list[RegressionTree] = []
         self._base_score = 0.0
 
-    @staticmethod
-    def _sigmoid(x: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-
     def fit(self, features: np.ndarray, labels: np.ndarray) -> None:
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
@@ -175,7 +172,7 @@ class GradientBoostingClassifier:
         raw = np.full(len(labels), self._base_score)
         self._trees = []
         for _ in range(self.n_trees):
-            prob = self._sigmoid(raw)
+            prob = sigmoid(raw)
             grad = prob - labels
             hess = prob * (1.0 - prob)
             if self.subsample < 1.0:
@@ -198,7 +195,7 @@ class GradientBoostingClassifier:
         raw = np.full(len(features), self._base_score)
         for tree in self._trees:
             raw += self.learning_rate * tree.predict(features)
-        return self._sigmoid(raw)
+        return sigmoid(raw)
 
 
 # ---------------------------------------------------------------------------

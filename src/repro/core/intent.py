@@ -24,7 +24,7 @@ import numpy as np
 
 from ..data.dataset import ODBatch, ODDataset, PAIR_DIM
 from ..nn import MLP
-from ..tensor import Tensor, concat, no_grad
+from ..tensor import Tensor, concat, functional as F, no_grad
 from .mmoe import MMoEJointLearning
 from .odnet import ODNET, ODNETConfig
 from .pec import PreferenceExtraction
@@ -73,11 +73,9 @@ class IntentAwareODNET(ODNET):
     def _joint_query(self, batch: ODBatch, tables=None) -> Tensor:
         q_o = self._branch(batch, "o", tables=tables)
         q_d = self._branch(batch, "d", tables=tables)
-        intent = self.intent_head(q_d).softmax(axis=-1)
+        intent = F.softmax(self.intent_head(q_d), axis=-1)
         self._intent_tensor = intent
-        return concat(
-            [q_o, q_d, Tensor(batch.pair_features), intent], axis=-1
-        )
+        return concat([q_o, q_d, batch.pair_features, intent], axis=-1)
 
     def loss(self, batch: ODBatch) -> Tensor:
         joint = super().loss(batch)

@@ -61,8 +61,8 @@ class MMoEJointLearning(Module):
         )  # (B, E, expert_dim)
         probabilities = []
         for gate, tower in zip(self.gates, self.towers):
-            mixture = gate(joint_query).softmax(axis=-1)       # (B, E)
-            mixed = (expert_outputs * mixture.expand_dims(-1)).sum(axis=1)
+            mixture = F.softmax(gate(joint_query), axis=-1)    # (B, E)
+            mixed = (expert_outputs * F.expand_dims(mixture, -1)).sum(axis=1)
             probabilities.append(tower(mixed).squeeze(-1))     # (B,)
         return probabilities
 

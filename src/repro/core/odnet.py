@@ -15,7 +15,7 @@ import numpy as np
 from ..data.dataset import ODBatch, ODDataset, PAIR_DIM
 from ..graph import Metapath, NeighborTable, build_neighbor_table
 from ..nn import Parameter
-from ..tensor import Tensor, concat, functional as F, no_grad
+from ..tensor import Tensor, as_array, concat, functional as F, no_grad
 from .base import NeuralRanker
 from .fused import FrozenScoringState, frozen_view, fused_score_pairs
 from .hsgc import HSGComponent
@@ -107,7 +107,7 @@ class ODNET(NeuralRanker):
     @property
     def theta(self) -> float:
         """Current value of the loss/serving trade-off theta."""
-        return float(1.0 / (1.0 + np.exp(-self.theta_logit.data)))
+        return float(F.sigmoid(as_array(self.theta_logit)))
 
     def _branch(
         self,
@@ -145,7 +145,7 @@ class ODNET(NeuralRanker):
     ) -> Tensor:
         q_o = self._branch(batch, "o", tables=tables)
         q_d = self._branch(batch, "d", tables=tables)
-        return concat([q_o, q_d, Tensor(batch.pair_features)], axis=-1)
+        return concat([q_o, q_d, batch.pair_features], axis=-1)
 
     def forward(
         self,
@@ -175,15 +175,14 @@ class ODNET(NeuralRanker):
             }
 
     def frozen_state(self, version: int | None = None) -> FrozenScoringState:
-        """Capture what serving reads — the PEC/MMoE arrays and theta
-        bound right now, plus freshly built tables — as one immutable
-        object that stays valid while the live model trains or reloads
-        (see :mod:`repro.core.fused`).  ``version`` tags it with the
-        caller's ``param_version`` reading."""
+        """Capture what serving reads — this model as a
+        :func:`~repro.core.fused.frozen_view` over the arrays bound right
+        now, theta, plus freshly built tables — as one immutable object
+        that stays valid while the live model trains or reloads (see
+        :mod:`repro.core.fused`).  ``version`` tags it with the caller's
+        ``param_version`` reading."""
         return FrozenScoringState(
-            frozen_view(self.origin_pec), frozen_view(self.dest_pec),
-            frozen_view(self.joint), self.theta,
-            self.embedding_tables(), version,
+            frozen_view(self), self.theta, self.embedding_tables(), version
         )
 
     def freeze(self):
@@ -211,12 +210,13 @@ class ODNET(NeuralRanker):
     ) -> np.ndarray:
         """Serving score of Eq. 11: theta*p^O + (1-theta)*p^D.
 
-        Both the cached and uncached paths run through the fused numpy
-        kernel (:func:`repro.core.fused.fused_score_pairs`) — no autograd
-        graph is built at serving time.  With ``tables`` (from
-        :meth:`embedding_tables`) the HSGC propagation is skipped too;
-        the scores are bit-identical to the uncached path, and to the
-        Eq. 11 blend of the Tensor :meth:`predict` (regression-tested).
+        Both the cached and uncached paths run :meth:`forward` itself
+        on a frozen view of this model (:mod:`repro.core.fused`): plain
+        arrays in, plain arrays out, no autograd graph at serving time.
+        With ``tables`` (from :meth:`embedding_tables`) the HSGC
+        propagation is skipped too; the scores are bit-identical to the
+        uncached path, and to the Eq. 11 blend of the Tensor
+        :meth:`predict` — the same code computed both.
         """
         return fused_score_pairs(self, batch, tables=tables)
 

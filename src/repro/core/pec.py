@@ -91,7 +91,7 @@ class PreferenceExtraction(Module):
                 v_l * candidate_emb,
                 v_s * candidate_emb,
                 user_emb * candidate_emb,
-                Tensor(xst),
+                xst,
             ],
             axis=-1,
         )

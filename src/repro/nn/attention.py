@@ -86,14 +86,14 @@ class QueryAttention(Module):
     ) -> Tensor:
         """``query`` is ``(B, D)``, ``keys`` is ``(B, L, D)``; returns ``(B, D)``."""
         weights = self.attention_weights(query, keys, mask)
-        return (keys * weights.expand_dims(-1)).sum(axis=1)
+        return (keys * F.expand_dims(weights, -1)).sum(axis=1)
 
     def attention_weights(
         self, query: Tensor, keys: Tensor, mask: np.ndarray | None = None
     ) -> Tensor:
         """The Eq. 5 softmax weights (exposed for introspection)."""
         projected = query @ self.w_star  # (B, D)
-        scores = (keys * projected.expand_dims(1)).sum(axis=-1)  # (B, L)
+        scores = (keys * F.expand_dims(projected, 1)).sum(axis=-1)  # (B, L)
         if mask is not None:
             return F.masked_softmax(scores, mask, axis=-1)
-        return scores.softmax(axis=-1)
+        return F.softmax(scores, axis=-1)

@@ -57,6 +57,7 @@ import numpy as np
 
 from ..obs.registry import get_registry
 from ..resilience.rwlock import ReadWriteLock
+from ..tensor import as_array
 
 __all__ = ["InferenceSession", "ShardedInferenceSession", "supports_fast_path"]
 
@@ -199,12 +200,6 @@ class InferenceSession:
         return self._lookup().score_pairs(batch)
 
 
-def _as_array(value) -> np.ndarray:
-    if isinstance(value, np.ndarray):
-        return value
-    return np.asarray(value.data if hasattr(value, "data") else value)
-
-
 class ShardedInferenceSession:
     """Frozen tables served through a hash-sharded float16 store.
 
@@ -216,8 +211,8 @@ class ShardedInferenceSession:
     :class:`repro.distributed.ShardedEmbeddingStore` (float16 memmaps,
     LRU of hot decoded shards), and keeps only the small city tables
     dense.  ``score_pairs`` compacts the batch's user ids (``np.unique``
-    + inverse), gathers just those rows through the store, and runs the
-    same fused kernel on a compact user table.
+    + inverse), gathers just those rows through the store, and scores
+    from the same frozen state on a compact user table.
 
     Per-shard invalidation contract: a PS write-back
     (:meth:`write_back` / :meth:`refresh_users`) re-quantises only the
@@ -249,12 +244,12 @@ class ShardedInferenceSession:
         # the stores, city tables in ``_cities``).
         self._weights = dataclasses.replace(frozen, tables=None)
         self._cities = {
-            side: _as_array(tables[side][1]).astype(np.float64)
+            side: as_array(tables[side][1]).astype(np.float64)
             for side in ("o", "d")
         }
         self._stores = {
             side: ShardedEmbeddingStore.from_array(
-                _as_array(tables[side][0]),
+                as_array(tables[side][0]),
                 directory,
                 name=f"users_{side}",
                 num_shards=num_shards,
@@ -347,7 +342,7 @@ class ShardedInferenceSession:
         user_ids = np.asarray(user_ids)
         tables = self.model.embedding_tables()
         for side in ("o", "d"):
-            fresh = _as_array(tables[side][0])[user_ids]
+            fresh = as_array(tables[side][0])[user_ids]
             self._stores[side].write_rows(user_ids, fresh)
 
     def swap(self, state: dict, touched_users=None) -> float:
@@ -378,8 +373,8 @@ class ShardedInferenceSession:
                 user_ids = np.unique(np.asarray(touched_users))
             fresh = {
                 side: (
-                    _as_array(frozen.tables[side][0])[user_ids],
-                    _as_array(frozen.tables[side][1]).astype(np.float64),
+                    as_array(frozen.tables[side][0])[user_ids],
+                    as_array(frozen.tables[side][1]).astype(np.float64),
                 )
                 for side in ("o", "d")
             }

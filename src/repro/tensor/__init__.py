@@ -7,6 +7,7 @@ reverse-mode automatic differentiation on top of numpy.
 
 from .core import (
     Tensor,
+    as_array,
     as_tensor,
     concat,
     is_grad_enabled,
@@ -20,6 +21,7 @@ from . import functional
 __all__ = [
     "Tensor",
     "as_tensor",
+    "as_array",
     "concat",
     "stack",
     "where",

@@ -26,6 +26,7 @@ __all__ = [
     "no_grad",
     "is_grad_enabled",
     "as_tensor",
+    "as_array",
     "concat",
     "stack",
     "where",
@@ -73,6 +74,26 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# The array formulas of the ops a frozen module runs without a tape: the
+# Tensor method and the array path of :mod:`repro.tensor.functional`
+# both call these, so the two cannot drift apart.
+def sigmoid_array(x) -> np.ndarray:
+    # Numerically stable logistic function: exp of a non-positive
+    # argument never overflows, and computing it once covers both
+    # branches (x >= 0: 1/(1+e^-x); x < 0: e^x/(1+e^x)).
+    exp_neg = np.exp(-np.abs(np.clip(x, -500, 500)))
+    return np.where(x >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
+
+
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def masked_fill_array(x, mask: np.ndarray, value: float) -> np.ndarray:
+    return np.where(mask, value, x)
 
 
 class Tensor:
@@ -310,16 +331,16 @@ class Tensor:
 
     # Comparison operators return plain numpy boolean arrays.
     def __gt__(self, other):
-        return self.data > _raw(other)
+        return self.data > as_array(other)
 
     def __lt__(self, other):
-        return self.data < _raw(other)
+        return self.data < as_array(other)
 
     def __ge__(self, other):
-        return self.data >= _raw(other)
+        return self.data >= as_array(other)
 
     def __le__(self, other):
-        return self.data <= _raw(other)
+        return self.data <= as_array(other)
 
     # ------------------------------------------------------------------
     # Elementwise non-linearities
@@ -355,15 +376,7 @@ class Tensor:
         return Tensor._make(self.data * mask, (self,), backward)
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic function: exp of a non-positive
-        # argument never overflows, and computing it once covers both
-        # branches (x >= 0: 1/(1+e^-x); x < 0: e^x/(1+e^x)).
-        exp_neg = np.exp(-np.abs(np.clip(self.data, -500, 500)))
-        out_data = np.where(
-            self.data >= 0,
-            1.0 / (1.0 + exp_neg),
-            exp_neg / (1.0 + exp_neg),
-        )
+        out_data = sigmoid_array(self.data)
 
         def backward(grad, deposit):
             deposit(self, grad * out_data * (1.0 - out_data))
@@ -506,9 +519,7 @@ class Tensor:
     # Softmax family (fused for stability)
     # ------------------------------------------------------------------
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+        out_data = softmax_array(self.data, axis)
 
         def backward(grad, deposit):
             g = np.asarray(grad)
@@ -536,10 +547,14 @@ class Tensor:
         def backward(grad, deposit):
             deposit(self, np.where(mask, 0.0, np.asarray(grad)))
 
-        return Tensor._make(np.where(mask, value, self.data), (self,), backward)
+        return Tensor._make(
+            masked_fill_array(self.data, mask, value), (self,), backward
+        )
 
 
-def _raw(value) -> np.ndarray:
+def as_array(value) -> np.ndarray:
+    """The array behind a Tensor; anything else as an array.  (An
+    ndarray has a ``.data`` too — a memoryview — so test the type.)"""
     return value.data if isinstance(value, Tensor) else np.asarray(value)
 
 
@@ -556,8 +571,16 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+def _all_arrays(values: list) -> bool:
+    return not any(isinstance(v, Tensor) for v in values)
+
+
 def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient routing."""
+    """Concatenate tensors along ``axis`` with gradient routing (plain
+    ``np.concatenate`` when no input is a Tensor)."""
+    tensors = list(tensors)
+    if _all_arrays(tensors):
+        return np.concatenate(tensors, axis=axis)
     tensors = [as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
@@ -573,7 +596,11 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient routing."""
+    """Stack tensors along a new ``axis`` with gradient routing (plain
+    ``np.stack`` when no input is a Tensor)."""
+    tensors = list(tensors)
+    if _all_arrays(tensors):
+        return np.stack(tensors, axis=axis)
     tensors = [as_tensor(t) for t in tensors]
 
     def backward(grad, deposit):
@@ -586,7 +613,7 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable elementwise select: ``a`` where condition else ``b``."""
-    condition = np.asarray(_raw(condition), dtype=bool)
+    condition = np.asarray(as_array(condition), dtype=bool)
     a, b = as_tensor(a), as_tensor(b)
 
     def backward(grad, deposit):

@@ -4,13 +4,19 @@ These helpers implement the numerical building blocks that the ODNET paper
 uses repeatedly: scaled dot-product attention (Eq. 3), masked softmax over
 padded neighbourhoods (Eq. 1), and the binary cross-entropy losses of
 Eqs. 9-10.
+
+Every op an ``nn`` layer is built from takes a Tensor or a plain array
+and answers in kind: a Tensor goes through the method that records the
+tape, anything else through the same array formula with no tape.  That
+is how a frozen module (:func:`repro.core.fused.frozen_view`) serves
+with the ``forward`` it was trained with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Tensor, as_tensor
+from .core import Tensor, masked_fill_array, sigmoid_array, softmax_array
 
 __all__ = [
     "relu",
@@ -18,6 +24,7 @@ __all__ = [
     "tanh",
     "softmax",
     "masked_softmax",
+    "expand_dims",
     "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
     "scaled_dot_product_attention",
@@ -28,19 +35,27 @@ __all__ = [
 
 
 def relu(x: Tensor) -> Tensor:
-    return as_tensor(x).relu()
+    return x.relu() if isinstance(x, Tensor) else x * (x > 0)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    return as_tensor(x).sigmoid()
+    return x.sigmoid() if isinstance(x, Tensor) else sigmoid_array(x)
 
 
 def tanh(x: Tensor) -> Tensor:
-    return as_tensor(x).tanh()
+    return x.tanh() if isinstance(x, Tensor) else np.tanh(x)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    return as_tensor(x).softmax(axis=axis)
+    if isinstance(x, Tensor):
+        return x.softmax(axis=axis)
+    return softmax_array(x, axis)
+
+
+def expand_dims(x: Tensor, axis: int) -> Tensor:
+    if isinstance(x, Tensor):
+        return x.expand_dims(axis)
+    return np.expand_dims(x, axis)
 
 
 def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
@@ -50,8 +65,11 @@ def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     which is the behaviour needed for nodes with no metapath neighbours.
     """
     mask = np.asarray(mask, dtype=bool)
-    filled = scores.masked_fill(~mask, -1e30)
-    weights = filled.softmax(axis=axis)
+    if isinstance(scores, Tensor):
+        filled = scores.masked_fill(~mask, -1e30)
+    else:
+        filled = masked_fill_array(scores, ~mask, -1e30)
+    weights = softmax(filled, axis=axis)
     # Zero out rows with no valid positions (softmax of all -1e30 is uniform).
     any_valid = mask.any(axis=axis, keepdims=True)
     return weights * np.asarray(any_valid, dtype=np.float64)
@@ -95,7 +113,7 @@ def scaled_dot_product_attention(
     if mask is not None:
         weights = masked_softmax(scores, mask, axis=-1)
     else:
-        weights = scores.softmax(axis=-1)
+        weights = softmax(scores, axis=-1)
     return weights @ value, weights
 
 

@@ -48,6 +48,23 @@ class TestForwardAndLoss:
         assert ids.shape == (16,)
         assert set(ids) <= {0, 1, 2}
 
+    def test_score_pairs_serves_through_the_intent_head(
+        self, intent_model, od_dataset
+    ):
+        """Serving runs the subclass's own ``_joint_query`` on a frozen
+        view, so Eq. 11 scores equal the Tensor-path blend exactly."""
+        batch = next(od_dataset.iter_batches("train", 16, shuffle=False))
+        p_o, p_d = intent_model.predict(batch)
+        theta = intent_model.theta
+        scores = intent_model.score_pairs(batch)
+        assert type(scores) is np.ndarray
+        np.testing.assert_array_equal(
+            scores, theta * p_o + (1.0 - theta) * p_d
+        )
+        np.testing.assert_array_equal(
+            intent_model.freeze().score_pairs(batch), scores
+        )
+
     def test_loss_includes_regularisers_and_backprops(self, od_dataset):
         model = IntentAwareODNET(od_dataset, TINY_MODEL_CONFIG,
                                  num_intents=3)

@@ -65,6 +65,28 @@ class TestTheta:
             trained_odnet.score_pairs(batch), theta * p_o + (1 - theta) * p_d
         )
 
+    @pytest.mark.parametrize(
+        "wrap", [np.asarray, np.float64], ids=["0-d array", "numpy scalar"]
+    )
+    def test_serving_theta_is_the_training_sigmoid(self, od_dataset, wrap):
+        """Eq. 11's theta and Eq. 8's are one formula: equal to the last
+        bit, whichever type an optimizer step left in ``.data``."""
+        model = build_odnet(od_dataset, TINY_MODEL_CONFIG)
+        for logit in np.linspace(-3.0, 3.0, 101):
+            model.theta_logit.data = wrap(logit)
+            assert model.theta == float(model.theta_logit.sigmoid().data)
+
+    def test_extreme_theta_logit_warns_nothing(self, od_dataset):
+        import warnings
+
+        model = build_odnet(od_dataset, TINY_MODEL_CONFIG)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.theta_logit.data = np.asarray(-1000.0)
+            assert 0.0 <= model.theta < 1e-200
+            model.theta_logit.data = np.asarray(1000.0)
+            assert model.theta == 1.0
+
     def test_theta_prior_pulls_to_center(self, od_dataset, batch):
         from dataclasses import replace
 
