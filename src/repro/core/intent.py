@@ -24,7 +24,7 @@ import numpy as np
 
 from ..data.dataset import ODBatch, ODDataset, PAIR_DIM
 from ..nn import MLP
-from ..tensor import Tensor, concat, functional as F, no_grad
+from ..tensor import Tensor, functional as F, no_grad
 from .mmoe import MMoEJointLearning
 from .odnet import ODNET, ODNETConfig
 from .pec import PreferenceExtraction
@@ -67,21 +67,20 @@ class IntentAwareODNET(ODNET):
             rng=np.random.default_rng(cfg.seed + 202),
             num_experts=cfg.num_experts,
         )
-        self._intent_tensor: Tensor | None = None
 
     # ------------------------------------------------------------------
-    def _joint_query(self, batch: ODBatch, tables=None) -> Tensor:
-        q_o = self._branch(batch, "o", tables=tables)
-        q_d = self._branch(batch, "d", tables=tables)
-        intent = F.softmax(self.intent_head(q_d), axis=-1)
-        self._intent_tensor = intent
-        return concat([q_o, q_d, batch.pair_features, intent], axis=-1)
+    def _joint_query(self, batch: ODBatch, tables=None) -> list:
+        blocks = super()._joint_query(batch, tables=tables)
+        q_d, rows = blocks[1]
+        # The intent reads q^D alone: one more block on its distinct rows.
+        self._intent = (F.softmax(self.intent_head(q_d), axis=-1), rows)
+        return blocks + [self._intent]
 
     def loss(self, batch: ODBatch) -> Tensor:
         joint = super().loss(batch)
-        intent = self._intent_tensor
-        if intent is None:  # pragma: no cover - defensive
-            return joint
+        intent, rows = self._intent
+        if rows is not None:
+            intent = intent[rows]
         # Per-sample entropy (want low -> confident intents).
         per_sample = -(intent * (intent + _EPS).log()).sum(axis=-1).mean()
         # Batch marginal entropy (want high -> diverse intents).
@@ -97,9 +96,9 @@ class IntentAwareODNET(ODNET):
     def intent_distribution(self, batch: ODBatch) -> np.ndarray:
         """Per-sample latent intent probabilities ``(B, num_intents)``."""
         with self.eval_mode(), no_grad():
-            q_d = self._branch(batch, "d")
+            q_d, rows = self._branch(batch, "d")
             intent = self.intent_head(q_d).softmax(axis=-1)
-        return np.asarray(intent.data)
+        return intent.data if rows is None else intent.data[rows]
 
     def dominant_intent(self, batch: ODBatch) -> np.ndarray:
         """Arg-max latent intent id per sample."""

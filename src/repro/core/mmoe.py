@@ -54,19 +54,22 @@ class MMoEJointLearning(Module):
             for _ in range(num_tasks)
         ]
 
-    def forward(self, joint_query: Tensor) -> list[Tensor]:
-        """``joint_query`` is q⊕ of shape (B, input_dim); returns task probs."""
+    def forward(self, joint_query) -> list[Tensor]:
+        """``joint_query`` is q⊕ of shape (B, input_dim), or its column
+        blocks ``[(q^O, rows_o), (q^D, rows_d), (pair, None)]`` (see
+        :meth:`repro.nn.Linear.forward`): experts and gates then project
+        each side on its distinct rows only.  Returns task probs."""
         expert_outputs = stack(
             [expert(joint_query) for expert in self.experts], axis=1
         )  # (B, E, expert_dim)
         probabilities = []
         for gate, tower in zip(self.gates, self.towers):
             mixture = F.softmax(gate(joint_query), axis=-1)    # (B, E)
-            mixed = (expert_outputs * F.expand_dims(mixture, -1)).sum(axis=1)
+            mixed = (F.expand_dims(mixture, 1) @ expert_outputs).squeeze(1)
             probabilities.append(tower(mixed).squeeze(-1))     # (B,)
         return probabilities
 
-    def gate_mixtures(self, joint_query: Tensor) -> np.ndarray:
+    def gate_mixtures(self, joint_query) -> np.ndarray:
         """Inspection helper: per-task expert mixtures (tasks, B, experts)."""
         return np.stack(
             [gate(joint_query).softmax(axis=-1).data for gate in self.gates]

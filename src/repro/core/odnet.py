@@ -15,7 +15,7 @@ import numpy as np
 from ..data.dataset import ODBatch, ODDataset, PAIR_DIM
 from ..graph import Metapath, NeighborTable, build_neighbor_table
 from ..nn import Parameter
-from ..tensor import Tensor, as_array, concat, functional as F, no_grad
+from ..tensor import Tensor, as_array, functional as F, no_grad
 from .base import NeuralRanker
 from .fused import FrozenScoringState, frozen_view, fused_score_pairs
 from .hsgc import HSGComponent
@@ -114,8 +114,9 @@ class ODNET(NeuralRanker):
         batch: ODBatch,
         side: str,
         tables: dict[str, tuple[Tensor, Tensor]] | None = None,
-    ) -> Tensor:
-        """Compute q^O (side='o') or q^D (side='d') for a batch.
+    ) -> tuple[Tensor, np.ndarray | None]:
+        """q^O (side='o') or q^D (side='d') of a batch, as the column
+        block ``(q, rows)`` of :meth:`PreferenceExtraction.aware_block`.
 
         ``tables`` optionally supplies precomputed HSGC node-embedding
         tables per side (the serving fast path); without it the full
@@ -123,29 +124,26 @@ class ODNET(NeuralRanker):
         """
         if side == "o":
             hsgc, pec = self.origin_hsgc, self.origin_pec
-            long_ids, short_ids = batch.long_origins, batch.short_origins
-            candidate, xst = batch.candidate_origin, batch.xst_o
         else:
             hsgc, pec = self.dest_hsgc, self.dest_pec
-            long_ids, short_ids = batch.long_destinations, batch.short_destinations
-            candidate, xst = batch.candidate_destination, batch.xst_d
-
         if tables is not None:
             users, cities = tables[side]
         else:
             users, cities = hsgc.node_embeddings()
-        return pec.aware_query(
-            users, cities, batch, long_ids, short_ids, candidate, xst
-        )
+        return pec.aware_block(users, cities, batch, side)
 
     def _joint_query(
         self,
         batch: ODBatch,
         tables: dict[str, tuple[Tensor, Tensor]] | None = None,
-    ) -> Tensor:
-        q_o = self._branch(batch, "o", tables=tables)
-        q_d = self._branch(batch, "d", tables=tables)
-        return concat([q_o, q_d, batch.pair_features], axis=-1)
+    ) -> list:
+        """q⊕ = concat(q^O, q^D, pair) as its column blocks: the joint
+        head projects each side on its distinct rows only."""
+        return [
+            self._branch(batch, "o", tables=tables),
+            self._branch(batch, "d", tables=tables),
+            (batch.pair_features, None),
+        ]
 
     def forward(
         self,

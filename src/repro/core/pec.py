@@ -23,6 +23,11 @@ from ..tensor import Tensor, concat, functional as F
 __all__ = ["PreferenceExtraction"]
 
 
+def _pick(values, index):
+    """``values[index]``; ``None`` selects every row (and gathers nothing)."""
+    return values if index is None else values[index]
+
+
 class PreferenceExtraction(Module):
     """One aware-side copy of PEC (ODNET instantiates two).
 
@@ -105,42 +110,46 @@ class PreferenceExtraction(Module):
         short_ids: np.ndarray,
         candidate: np.ndarray,
         xst: np.ndarray,
+        layout: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> Tensor:
         """One aware side end to end: gathers + :meth:`forward` +
         :meth:`build_query` for an :class:`~repro.data.dataset.ODBatch`.
 
         Shared by ODNET's branches and the single-task variants so the
-        point-deduplication below exists in exactly one place.
+        deduplication below exists in exactly one place.
 
         When the batch carries a segment layout (``first_rows`` /
         ``point_rows`` from ``batch_for_requests``), all rows of one
-        decision point share the same history sequences, user id and
-        current city — only the candidate column differs.  The sequence
-        encoders (the expensive multi-head attention) then run once per
-        *point* over the ``first_rows`` subset and the results are
-        gathered back per row, a ~K× saving for K candidates per request.
-        Candidate embeddings and ``xst`` stay per-row.
+        decision point share the same history sequences, so the sequence
+        encoders (the expensive multi-head attention) run once per
+        *point* over the ``first_rows`` subset.  With the side's
+        ``layout`` (``batch.side_layout[side]``) q^X itself is built on
+        the distinct (point, candidate city) rows ``layout[0]`` only —
+        ``q[layout[1]]`` is the per-row query; without it, on every row.
         """
-        first, rows = batch.first_rows, batch.point_rows
-        if first is not None and first.shape[0] < rows.shape[0]:
-            v_l, v_s = self(
-                cities[long_ids[first]], batch.long_mask[first],
-                cities[short_ids[first]], batch.short_mask[first],
-            )
-            v_l = v_l[rows]
-            v_s = v_s[rows]
-            user_emb = users[batch.user_ids[first]][rows]
-            current_emb = cities[batch.current_city[first]][rows]
-        else:
-            v_l, v_s = self(
-                cities[long_ids], batch.long_mask,
-                cities[short_ids], batch.short_mask,
-            )
-            user_emb = users[batch.user_ids]
-            current_emb = cities[batch.current_city]
-        return self.build_query(
-            v_l, v_s, user_emb, current_emb, cities[candidate], xst
+        first, of_point = batch.first_rows, batch.point_rows
+        keep = None if layout is None else layout[0]
+        if keep is not None:  # the point of each distinct side row
+            of_point = keep if first is None else of_point[keep]
+
+        v_l, v_s = self(
+            cities[_pick(long_ids, first)], _pick(batch.long_mask, first),
+            cities[_pick(short_ids, first)], _pick(batch.short_mask, first),
         )
+        return self.build_query(
+            _pick(v_l, of_point), _pick(v_s, of_point),
+            users[_pick(batch.user_ids, keep)],
+            cities[_pick(batch.current_city, keep)],
+            cities[_pick(candidate, keep)], _pick(xst, keep),
+        )
+
+    def aware_block(self, users: Tensor, cities: Tensor, batch, side: str):
+        """q^O (``side='o'``) or q^D (``'d'``) of a batch as a column block
+        ``(q, rows)`` for :meth:`repro.nn.Linear.forward`: ``q`` on the
+        side's distinct rows and their row map (``None``: every row)."""
+        *inputs, layout = batch.side(side)
+        q = self.aware_query(users, cities, batch, *inputs, layout)
+        return q, None if layout is None else layout[1]
 
     @staticmethod
     def query_dim(dim: int, xst_dim: int) -> int:

@@ -70,20 +70,11 @@ class SingleTaskNetwork(NeuralRanker):
             final_activation=F.sigmoid,
         )
 
-    def _query(self, batch: ODBatch) -> Tensor:
-        if self.side == "o":
-            long_ids, short_ids = batch.long_origins, batch.short_origins
-            candidate, xst = batch.candidate_origin, batch.xst_o
-        else:
-            long_ids, short_ids = batch.long_destinations, batch.short_destinations
-            candidate, xst = batch.candidate_destination, batch.xst_d
-        users, cities = self.hsgc.node_embeddings()
-        return self.pec.aware_query(
-            users, cities, batch, long_ids, short_ids, candidate, xst
-        )
-
     def probability(self, batch: ODBatch) -> Tensor:
-        return self.tower(self._query(batch)).squeeze(-1)
+        users, cities = self.hsgc.node_embeddings()
+        query, rows = self.pec.aware_block(users, cities, batch, self.side)
+        p = self.tower(query).squeeze(-1)
+        return p if rows is None else p[rows]
 
     def forward(self, batch: ODBatch) -> tuple[Tensor, Tensor]:
         p = self.probability(batch)

@@ -10,8 +10,10 @@ Encoded decision points live in a struct-of-arrays :class:`_EncodedStore`
 (one stacked ``(N, L)`` matrix per field instead of N small arrays), so
 assembling a serving batch is a handful of fancy-indexed gathers:
 ``np.repeat`` expands each request's store row over its candidate count,
-and the x_st / aux / pair feature blocks are computed for all ``(ΣK,)``
-candidates at once.  No per-candidate Python runs on the serving path.
+the pair feature block is computed for all ``(ΣK,)`` candidates at once
+and the per-side x_st / aux blocks on each side's distinct (point,
+candidate city) rows (``ODBatch.side_layout``).  No per-candidate Python
+runs on the serving path.
 
 Serving-time registrations (``register_point``) are bounded by an LRU
 with a configurable cap (``max_cached_points``); offline train/test
@@ -93,9 +95,27 @@ class ODBatch:
     #: every row is its own point.
     point_rows: np.ndarray | None = field(default=None)   # (B,)
     first_rows: np.ndarray | None = field(default=None)   # (P,)
+    #: per-side layout of the same batches, in the same convention:
+    #: ``side_layout[side] == (first, rows)`` where ``rows[i]`` maps batch
+    #: row ``i`` to its distinct (decision point, candidate city) index
+    #: on that side and ``first[u]`` is the first batch row of index
+    #: ``u``.  A request's origin × destination cross product repeats
+    #: each side's few candidates, and everything per-side (x_st, q^O /
+    #: q^D, their first MMoE projection) depends on that pair alone.
+    side_layout: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
 
     def __len__(self) -> int:
         return len(self.user_ids)
+
+    def side(self, side: str):
+        """What one aware side reads: ``(long ids, short ids, candidate,
+        x_st, layout)`` for ``side`` ``'o'`` or ``'d'``."""
+        layout = self.side_layout[side] if self.side_layout else None
+        if side == "o":
+            return (self.long_origins, self.short_origins,
+                    self.candidate_origin, self.xst_o, layout)
+        return (self.long_destinations, self.short_destinations,
+                self.candidate_destination, self.xst_d, layout)
 
 
 @dataclass
@@ -363,8 +383,7 @@ class ODDataset:
         n = users.shape[0]
         order = np.lexsort((days, cities, users))
         su, sc, sd = users[order], cities[order], days[order]
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
+        new_group = np.ones(n, dtype=bool)
         new_group[1:] = (
             (su[1:] != su[:-1]) | (sc[1:] != sc[:-1]) | (sd[1:] != sd[:-1])
         )
@@ -380,18 +399,15 @@ class ODDataset:
         days: np.ndarray,
         role: str,
     ) -> np.ndarray:
-        """Batched x_st: dedup (user, city, day) triples, fill misses from
-        :class:`TemporalFeatureExtractor`, gather ``(n, XST_DIM)``."""
-        n = users.shape[0]
-        if n == 0:
-            return np.zeros((0, XST_DIM), dtype=np.float64)
-        unique_idx, inverse = self._unique_triples(users, cities, days)
-        table = np.empty((unique_idx.shape[0], XST_DIM), dtype=np.float64)
+        """x_st of (distinct) (user, city, day) triples: cached rows,
+        misses filled from :class:`TemporalFeatureExtractor`."""
+        table = np.empty((users.shape[0], XST_DIM), dtype=np.float64)
         cache = self._xst_cache
         compute = self.temporal.features
         bound = self._max_xst_entries
-        for j, i in enumerate(unique_idx.tolist()):
-            key = (int(users[i]), int(cities[i]), int(days[i]), role)
+        triples = zip(users.tolist(), cities.tolist(), days.tolist())
+        for j, triple in enumerate(triples):
+            key = (*triple, role)
             row = cache.get(key)
             if row is None:
                 row = compute(*key)
@@ -399,7 +415,7 @@ class ODDataset:
                     cache.pop(next(iter(cache)))
                 cache[key] = row
             table[j] = row
-        return table[inverse]
+        return table
 
     def _aux_features_many(
         self,
@@ -491,19 +507,25 @@ class ODDataset:
         short_mask = store.short_mask[store_rows]
         current_city = store.current_city[store_rows]
 
-        size = store_rows.shape[0]
-        xst_o = np.zeros((size, FULL_XST_DIM), dtype=np.float64)
-        xst_d = np.zeros((size, FULL_XST_DIM), dtype=np.float64)
-        xst_o[:, :XST_DIM] = self._xst_many(user_ids, cand_o, days, "o")
-        xst_d[:, :XST_DIM] = self._xst_many(user_ids, cand_d, days, "d")
-        xst_o[:, XST_DIM:] = self._aux_features_many(
-            current_city, long_origins, long_mask,
-            short_origins, short_mask, cand_o,
-        )
-        xst_d[:, XST_DIM:] = self._aux_features_many(
-            current_city, long_destinations, long_mask,
-            short_destinations, short_mask, cand_d,
-        )
+        # Per-side features depend on (user, day, candidate city) alone:
+        # compute them on the distinct triples and gather back per row.
+        layout, xst = {}, {}
+        for role, cands, long_seq, short_seq in (
+            ("o", cand_o, long_origins, short_origins),
+            ("d", cand_d, long_destinations, short_destinations),
+        ):
+            first, rows = layout[role] = self._unique_triples(
+                user_ids, cands, days
+            )
+            distinct = np.empty((first.shape[0], FULL_XST_DIM))
+            distinct[:, :XST_DIM] = self._xst_many(
+                user_ids[first], cands[first], days[first], role
+            )
+            distinct[:, XST_DIM:] = self._aux_features_many(
+                current_city[first], long_seq[first], long_mask[first],
+                short_seq[first], short_mask[first], cands[first],
+            )
+            xst[role] = distinct[rows]
         pair_features = self._pair_features_many(
             long_origins, long_destinations, long_mask,
             short_origins, short_destinations, short_mask,
@@ -524,11 +546,13 @@ class ODDataset:
             label_o=label_o,
             label_d=label_d,
             day=days,
-            xst_o=xst_o,
-            xst_d=xst_d,
+            xst_o=xst["o"],
+            xst_d=xst["d"],
             pair_features=pair_features,
             point_rows=point_rows,
             first_rows=first_rows,
+            # Training batches repeat next to nothing: every row its own.
+            side_layout=layout if point_rows is not None else None,
         )
 
     # ------------------------------------------------------------------

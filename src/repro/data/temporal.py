@@ -56,18 +56,19 @@ class TemporalFeatureExtractor:
             days.sort()
 
     @staticmethod
-    def _count_window(days: list[int], low: int, high: int) -> int:
-        """Count events with day in [low, high)."""
-        return bisect.bisect_left(days, high) - bisect.bisect_left(days, low)
+    def _count_window(days: list[int], low: int, high: int, visible: int) -> int:
+        """Count events with day in [low, high) among the first ``visible``."""
+        return (bisect.bisect_left(days, high, 0, visible)
+                - bisect.bisect_left(days, low, 0, visible))
 
-    def _count_same_period(self, days: list[int], day: int) -> int:
+    def _count_same_period(self, days: list[int], day: int, visible: int) -> int:
         """Events near the anniversary of ``day`` in previous years."""
         total = 0
         anniversary = day - _DAYS_PER_YEAR
         while anniversary >= -_SAME_PERIOD_WINDOW:
             total += self._count_window(
                 days, anniversary - _SAME_PERIOD_WINDOW,
-                anniversary + _SAME_PERIOD_WINDOW + 1,
+                anniversary + _SAME_PERIOD_WINDOW + 1, visible,
             )
             anniversary -= _DAYS_PER_YEAR
         return total
@@ -78,31 +79,31 @@ class TemporalFeatureExtractor:
             raise ValueError(f"role must be 'o' or 'd', got {role!r}")
         user_days = self._user_days.get((user_id, city, role), [])
         global_days = self._global_days.get((city, role), [])
-        # Only the past is visible.
+        # Only the past is visible: the events before each cutoff.
         cutoff = bisect.bisect_left(user_days, day)
-        visible = user_days[:cutoff]
-
-        last_month_user = self._count_window(visible, day - _LAST_MONTH_DAYS, day)
-        same_period_user = self._count_same_period(visible, day)
-        total_user = len(visible)
+        last_month_user = self._count_window(
+            user_days, day - _LAST_MONTH_DAYS, day, cutoff
+        )
+        same_period_user = self._count_same_period(user_days, day, cutoff)
 
         global_cutoff = bisect.bisect_left(global_days, day)
-        visible_global = global_days[:global_cutoff]
         last_month_global = self._count_window(
-            visible_global, day - _LAST_MONTH_DAYS, day
+            global_days, day - _LAST_MONTH_DAYS, day, global_cutoff
         )
-        same_period_global = self._count_same_period(visible_global, day)
+        same_period_global = self._count_same_period(
+            global_days, day, global_cutoff
+        )
         norm = max(self._global_totals[role], 1)
 
         recency = 0.0
-        if visible:
-            recency = 1.0 / (1.0 + (day - visible[-1]))
+        if cutoff:
+            recency = 1.0 / (1.0 + (day - user_days[cutoff - 1]))
 
         return np.array(
             [
                 np.log1p(last_month_user),
                 np.log1p(same_period_user),
-                np.log1p(total_user),
+                np.log1p(cutoff),  # every visible user event
                 last_month_global / norm * 100.0,
                 same_period_global / norm * 100.0,
                 recency,

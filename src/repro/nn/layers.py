@@ -33,12 +33,34 @@ class Linear(Module):
         )
         self.bias = Parameter(np.zeros(out_features), name="linear.bias") if bias else None
 
-    def forward(self, x: Tensor) -> Tensor:
-        flat = x if x.ndim == 2 else x.reshape(-1, self.in_features)
-        out = flat @ self.weight.transpose()
-        if self.bias is not None:
-            out = out + self.bias
-        if x.ndim != 2:
+    def forward(self, x) -> Tensor:
+        """``x`` is the input, or a list of column blocks ``(x_b, rows_b)``
+        standing for ``concat([x_b[rows_b] ...], -1)`` (``rows_b`` ``None``:
+        every row is its own).  ``W·concat = Σ_b W_b·x_b``, so each block
+        is projected on its own rows by its slice of the weight columns
+        and the projections are gather-added per output row."""
+        single = not isinstance(x, list)
+        blocks = x
+        if single:
+            flat = x if x.ndim == 2 else x.reshape(-1, self.in_features)
+            blocks = [(flat, None)]
+        weight = self.weight.transpose()
+        out, start = None, 0
+        for part, rows in blocks:
+            stop = start + part.shape[-1]
+            whole = stop - start == self.in_features
+            projected = part @ (weight if whole else weight[start:stop])
+            if out is None and self.bias is not None:
+                projected = projected + self.bias  # on the block's own rows
+            if rows is not None:
+                projected = projected[rows]
+            out = projected if out is None else out + projected
+            start = stop
+        if start != self.in_features:
+            raise ValueError(
+                f"blocks are {start} columns wide, expected {self.in_features}"
+            )
+        if single and x.ndim != 2:
             out = out.reshape(*x.shape[:-1], self.out_features)
         return out
 

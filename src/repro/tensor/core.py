@@ -329,6 +329,9 @@ class Tensor:
 
         return Tensor._make(a @ b, (self, other), backward)
 
+    def __rmatmul__(self, other) -> "Tensor":
+        return as_tensor(other) @ self
+
     # Comparison operators return plain numpy boolean arrays.
     def __gt__(self, other):
         return self.data > as_array(other)
@@ -495,7 +498,17 @@ class Tensor:
 
         def backward(grad, deposit):
             full = np.zeros_like(self.data, dtype=np.float64)
-            np.add.at(full, index, np.asarray(grad))
+            # A basic index (slices / ints / None / Ellipsis) selects every
+            # position at most once, so its gradient is a plain assignment;
+            # only a fancy index can repeat one and needs the scatter-add.
+            if all(
+                i is None or i is Ellipsis
+                or isinstance(i, (slice, int, np.integer))
+                for i in (index if isinstance(index, tuple) else (index,))
+            ):
+                full[index] = grad
+            else:
+                np.add.at(full, index, np.asarray(grad))
             deposit(self, full)
 
         return Tensor._make(self.data[index], (self,), backward)

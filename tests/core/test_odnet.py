@@ -1,10 +1,19 @@
 """The full ODNET model: forward, loss (Eq. 8), serving score (Eq. 11)."""
 
+import dataclasses
+import pathlib
+
 import numpy as np
 import pytest
 
-from repro.core import ODNET, ODNETConfig, build_odnet
-from repro.tensor import Tensor
+from repro.core import (
+    ODNET, IntentAwareODNET, ODNETConfig, build_odnet, build_stl,
+)
+from repro.data import FliggyConfig, ODDataset, generate_fliggy_dataset
+from repro.data.schema import ODPair
+from repro.data.world import WorldConfig
+from repro.online import SnapshotStore
+from repro.tensor import Tensor, no_grad
 from tests.conftest import TINY_MODEL_CONFIG
 
 
@@ -145,3 +154,163 @@ class TestTraining:
         batch.pair_features = np.zeros_like(batch.pair_features)
         ablated = trained_odnet.score_pairs(batch)
         assert not np.allclose(base, ablated)
+
+
+# ----------------------------------------------------------------------
+# The side layout: a request is scored on its distinct origins and
+# destinations, and that is the same function of the batch
+# ----------------------------------------------------------------------
+def _pairs(origins, destinations):
+    return [ODPair(o, d) for o in origins for d in destinations]
+
+
+def _requests(od_dataset, layout):
+    """``batch_for_requests`` input per layout of the differential tests."""
+    a, b, c = od_dataset.source.test_points[:3]
+    return {
+        "one-candidate": [(a, [ODPair(3, 7)])],
+        "one-shared-origin": [(a, _pairs([4], [1, 2, 3, 5, 6]))],
+        "every-row-distinct": [(a, [ODPair(i, i + 9) for i in range(6)])],
+        "cross-product": [(a, _pairs([1, 2, 3], [4, 5, 6, 7]))],
+        "empty-request-in-the-middle": [
+            (a, _pairs([1, 2], [3, 4, 5])), (b, []),
+            (c, _pairs([2, 6, 8], [1, 3])),
+        ],
+    }[layout]
+
+
+LAYOUTS = ["one-candidate", "one-shared-origin", "every-row-distinct",
+           "cross-product", "empty-request-in-the-middle"]
+
+
+def _without_layout(batch):
+    """The same rows with every row its own point and side row: what a
+    training batch looks like, and the pre-side-layout computation."""
+    return dataclasses.replace(
+        batch, side_layout=None, point_rows=None, first_rows=None
+    )
+
+
+MODELS = {
+    "ODNET": lambda ds: build_odnet(ds, TINY_MODEL_CONFIG),
+    "ODNET-Intent": lambda ds: IntentAwareODNET(ds, TINY_MODEL_CONFIG),
+    "STL+G": lambda ds: build_stl(ds, TINY_MODEL_CONFIG, "STL+G"),
+}
+
+
+class TestSideLayout:
+    def test_training_batches_carry_none(self, batch):
+        assert batch.side_layout is None and batch.first_rows is None
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_layout_indexes_distinct_side_rows(self, od_dataset, layout):
+        batch = od_dataset.batch_for_requests(_requests(od_dataset, layout))
+        for side, candidate in (("o", batch.candidate_origin),
+                                ("d", batch.candidate_destination)):
+            first, rows = batch.side_layout[side]
+            keys = np.stack([batch.point_rows, candidate], axis=1)
+            assert len(first) == len(np.unique(keys, axis=0))
+            np.testing.assert_array_equal(keys[first][rows], keys)
+            # ``first`` are first occurrences, as ``first_rows`` are.
+            assert all(i == np.flatnonzero(rows == u)[0]
+                       for u, i in enumerate(first))
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("name", MODELS)
+    def test_same_scores_and_gradients_as_row_by_row(self, od_dataset, name,
+                                                     layout):
+        model = MODELS[name](od_dataset)
+        batch = od_dataset.batch_for_requests(_requests(od_dataset, layout))
+        flat = _without_layout(batch)
+        for field in ("xst_o", "xst_d", "pair_features"):
+            assert getattr(batch, field).shape[0] == len(batch)
+
+        got, expected = model.predict(batch), model.predict(flat)
+        for g, e in zip(got, expected):
+            assert g.shape == (len(batch),)
+            np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-12)
+
+        def gradients(of):
+            model.zero_grad()
+            model.loss(of).backward()
+            return {n: p.grad for n, p in model.named_parameters()}
+
+        got, expected = gradients(batch), gradients(flat)
+        for key in expected:
+            assert (got[key] is None) == (expected[key] is None), key
+            if expected[key] is not None:
+                np.testing.assert_allclose(
+                    got[key], expected[key], rtol=0.0, atol=1e-12,
+                    err_msg=key,
+                )
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("name", ["ODNET", "ODNET-Intent"])
+    def test_array_path_is_the_tensor_path(self, od_dataset, name, layout):
+        model = MODELS[name](od_dataset)
+        batch = od_dataset.batch_for_requests(_requests(od_dataset, layout))
+        with model.eval_mode(), no_grad():
+            p_o, p_d = model.forward(batch)
+        theta = model.theta
+        np.testing.assert_array_equal(
+            model.score_pairs(batch),
+            theta * p_o.data + (1.0 - theta) * p_d.data,
+        )
+
+    def test_intent_distribution_is_per_row(self, od_dataset):
+        model = MODELS["ODNET-Intent"](od_dataset)
+        batch = od_dataset.batch_for_requests(
+            _requests(od_dataset, "cross-product")
+        )
+        np.testing.assert_allclose(
+            model.intent_distribution(batch),
+            model.intent_distribution(_without_layout(batch)),
+            rtol=0.0, atol=1e-12,
+        )
+        assert model.gate_mixtures(batch).shape[1] == len(batch)
+
+
+# ----------------------------------------------------------------------
+# What must not move: parameter names and shapes
+# ----------------------------------------------------------------------
+#: published by the commit before the block-input head (PR 15) from the
+#: model `_fixture_model` builds; see the README next to it.
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "snapshot_pr15"
+
+
+def _fixture_model():
+    dataset = ODDataset(
+        generate_fliggy_dataset(FliggyConfig(
+            num_users=24, world=WorldConfig(num_cities=10),
+            train_points_per_user=1, seed=1,
+        )),
+        max_long=6, max_short=4,
+    )
+    config = ODNETConfig(dim=8, num_heads=2, depth=1, expert_dim=8,
+                         tower_hidden=4, seed=1)
+    return dataset, build_odnet(dataset, config)
+
+
+class TestPublishedSnapshotsStillLoad:
+    def test_state_dict_keys_and_shapes_are_the_published_ones(self):
+        _, model = _fixture_model()
+        published = SnapshotStore(FIXTURE).load().state
+        state = model.state_dict()
+        assert set(state) == set(published)
+        assert {k: v.shape for k, v in state.items()} == {
+            k: v.shape for k, v in published.items()
+        }
+
+    def test_pre_pr_snapshot_loads_and_serves(self):
+        dataset, model = _fixture_model()
+        model.load_state_dict(SnapshotStore(FIXTURE).load().state)
+        point = dataset.source.test_points[0]
+        batch = dataset.batch_for_candidates(
+            point, _pairs([0, 1, 2], [3, 4, 5, 6])
+        )
+        scores = model.freeze().score_pairs(batch)
+        assert scores.shape == (12,) and np.isfinite(scores).all()
+        np.testing.assert_allclose(
+            scores, model.score_pairs(_without_layout(batch)),
+            rtol=0.0, atol=1e-12,
+        )

@@ -1,7 +1,10 @@
 """Temporal statistics x_st: visibility, windows, same-period counts."""
 
+import bisect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data.schema import BookingEvent
 from repro.data.temporal import XST_DIM, TemporalFeatureExtractor
@@ -93,3 +96,58 @@ class TestCounts:
         np.testing.assert_allclose(
             batch[1], extractor.features(0, 1, 400, "d")
         )
+
+
+class _SlicingReference(TemporalFeatureExtractor):
+    """``features`` as it was before it stopped copying: slice the visible
+    prefix of each day list, then count inside the copy."""
+
+    def features(self, user_id, city, day, role):
+        def count(days, low, high):
+            return bisect.bisect_left(days, high) - bisect.bisect_left(days, low)
+
+        def same_period(days):
+            total, anniversary = 0, day - 365
+            while anniversary >= -15:
+                total += count(days, anniversary - 15, anniversary + 16)
+                anniversary -= 365
+            return total
+
+        user_days = self._user_days.get((user_id, city, role), [])
+        global_days = self._global_days.get((city, role), [])
+        visible = user_days[:bisect.bisect_left(user_days, day)]
+        visible_global = global_days[:bisect.bisect_left(global_days, day)]
+        norm = max(self._global_totals[role], 1)
+        return np.array([
+            np.log1p(count(visible, day - 30, day)),
+            np.log1p(same_period(visible)),
+            np.log1p(len(visible)),
+            count(visible_global, day - 30, day) / norm * 100.0,
+            same_period(visible_global) / norm * 100.0,
+            1.0 / (1.0 + (day - visible[-1])) if visible else 0.0,
+        ])
+
+
+class TestNoCopyAgreesWithSlicing:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_queries(self, seed):
+        rng = np.random.default_rng(seed)
+        bookings = {
+            user: [
+                _booking(user, int(rng.integers(0, 4)), int(rng.integers(0, 4)),
+                         int(day))
+                for day in rng.integers(100, 1200, rng.integers(0, 12))
+            ]
+            for user in range(3)
+        }
+        new = TemporalFeatureExtractor(bookings)
+        old = _SlicingReference(bookings)
+        # Before the first event, on event days, between, after the last.
+        days = [0, 99, 100, 1199, 1200, 5000, *rng.integers(0, 1600, 10)]
+        for day in days:
+            query = (int(rng.integers(0, 4)), int(rng.integers(0, 5)),
+                     int(day), "od"[int(rng.integers(0, 2))])
+            np.testing.assert_array_equal(
+                new.features(*query), old.features(*query)
+            )

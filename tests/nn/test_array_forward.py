@@ -251,6 +251,140 @@ class TestAwareQuery:
         ).shape == (rows, width)
 
 
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_side_layout_builds_the_distinct_rows_only(self, layout):
+        """With the side's ``(first, rows)``, q^X is built on ``first``
+        and ``q[rows]`` is the per-row query to the last bit."""
+        first_rows, point_rows, rows = LAYOUTS[layout]
+        rng = _rng()
+        batch, long_ids, short_ids = _aware_batch(
+            first_rows, point_rows, rows, rng
+        )
+        users = rng.normal(size=(6, DIM))
+        cities = rng.normal(size=(9, DIM))
+        # Two candidate cities per point at most: rows repeat.
+        points = np.arange(rows) if point_rows is None else point_rows
+        candidate = 2 + (np.arange(rows) % 2)
+        _, first, inverse = np.unique(
+            points * 9 + candidate, return_index=True, return_inverse=True
+        )
+        xst = rng.normal(size=(len(first), XST))[inverse]
+        args = (users, cities, batch, long_ids, short_ids, candidate, xst)
+        pec = PreferenceExtraction(DIM, HEADS, rng)
+        _check(pec, *args, (first, inverse),
+               call=lambda m, *a: m.aware_query(*a))
+        view = frozen_view(pec)
+        distinct = view.aware_query(*args, (first, inverse))
+        assert distinct.shape[0] == len(first)
+        np.testing.assert_array_equal(
+            distinct[inverse], view.aware_query(*args)
+        )
+
+
+# ----------------------------------------------------------------------
+# Block input: Linear(blocks) is Linear(concat(gathered blocks))
+# ----------------------------------------------------------------------
+def _block_layouts():
+    """``rows_o, rows_d`` per case: the row maps of the two side blocks
+    (``None``: the block has one row per output row already)."""
+    multi = np.array([0, 0, 1, 1, 2, 3, 3])  # requests of 4, 0 and 3 rows
+    return {
+        "one-candidate": (np.array([0]), np.array([0])),
+        "one-shared-origin": (np.zeros(5, dtype=np.int64), np.arange(5)),
+        "every-row-distinct": (np.arange(4), np.arange(4)),
+        "multi-request": (multi, np.array([0, 1, 0, 1, 2, 3, 4])),
+        "training": (None, None),
+    }
+
+
+BLOCK_LAYOUTS = _block_layouts()
+WIDTHS = (5, 4, 3)  # q^O, q^D, pair
+
+
+def _blocks(layout, rng, wrap=lambda x: x):
+    rows_o, rows_d = BLOCK_LAYOUTS[layout]
+    size = 6 if rows_o is None else len(rows_o)
+
+    def count(rows):
+        return size if rows is None else int(rows.max()) + 1
+
+    return [
+        (wrap(rng.normal(size=(count(rows_o), WIDTHS[0]))), rows_o),
+        (wrap(rng.normal(size=(count(rows_d), WIDTHS[1]))), rows_d),
+        (wrap(rng.normal(size=(size, WIDTHS[2]))), None),
+    ]
+
+
+def _gathered_concat(blocks):
+    """What the blocks stand for, materialised (the pre-block-input path)."""
+    from repro.tensor import concat
+    return concat(
+        [x if rows is None else x[rows] for x, rows in blocks], axis=-1
+    )
+
+
+def _grads(module, blocks, run):
+    """Output and every parameter / input gradient of ``sum(run(...))``."""
+    module.zero_grad()
+    out = run(module, blocks)
+    out = out if isinstance(out, list) else [out]
+    # Unequal weights: a gradient routed to the wrong task would show.
+    sum(o.sum() * (i + 1.0) for i, o in enumerate(out)).backward()
+    return (
+        [o.data for o in out],
+        [p.grad for p in module.parameters()] + [x.grad for x, _ in blocks],
+    )
+
+
+BLOCK_MODULES = {
+    "linear": lambda: Linear(sum(WIDTHS), 4, _rng()),
+    "linear-no-bias": lambda: Linear(sum(WIDTHS), 4, _rng(), bias=False),
+    "mlp": lambda: MLP(sum(WIDTHS), [5], 2, _rng(), final_activation=F.relu),
+    "mmoe": lambda: MMoEJointLearning(sum(WIDTHS), expert_dim=6,
+                                      tower_hidden=4, rng=_rng()),
+}
+
+
+class TestBlockInput:
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("name", BLOCK_MODULES)
+    def test_equals_concat_in_value_and_every_gradient(self, name, layout):
+        module = BLOCK_MODULES[name]()
+        wrap = lambda x: Tensor(x, requires_grad=True)
+        blocks = _blocks(layout, _rng(), wrap)
+        got = _grads(module, blocks, lambda m, b: m(b))
+        for x, _ in blocks:
+            x.grad = None
+        expected = _grads(module, blocks, lambda m, b: m(_gathered_concat(b)))
+        for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
+            assert g is not None
+            np.testing.assert_allclose(g, e, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("layout", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("name", BLOCK_MODULES)
+    def test_array_path_is_the_tensor_path(self, name, layout):
+        module = BLOCK_MODULES[name]()
+        blocks = _blocks(layout, _rng())
+        with no_grad():
+            expected = module([(Tensor(x), rows) for x, rows in blocks])
+        _assert_same(frozen_view(module)(blocks), expected)
+
+    def test_an_array_block_beside_tensor_blocks(self):
+        # pair_features reaches the head as a plain array in training too.
+        linear = Linear(sum(WIDTHS), 4, _rng())
+        (q_o, _), (q_d, _), (pair, _) = _blocks("training", _rng())
+        mixed = linear([(Tensor(q_o), None), (Tensor(q_d), None), (pair, None)])
+        np.testing.assert_array_equal(
+            mixed.data,
+            frozen_view(linear)([(q_o, None), (q_d, None), (pair, None)]),
+        )
+
+    def test_blocks_must_cover_the_input_width(self):
+        linear = Linear(sum(WIDTHS), 4, _rng())
+        with pytest.raises(ValueError, match="columns wide"):
+            frozen_view(linear)(_blocks("training", _rng())[:2])
+
+
 # ----------------------------------------------------------------------
 # The array path never hands back a Tensor
 # ----------------------------------------------------------------------

@@ -38,6 +38,20 @@ class TestRankingService:
 
 
 class TestFlightRecommender:
+    def test_bench_world_replies_are_ranked_by_the_model(self):
+        """A fault in batch assembly or the kernel does not raise: it
+        surfaces as a fast, popularity-ranked ``rank:error:*`` reply.  On
+        the benchmark's own world (fewer users), none may be one."""
+        from bench.streams import request_stream
+        from bench.world import TOP_K, Scale, build_recommender
+
+        recommender = build_recommender(0, Scale(users=300))
+        points = recommender.dataset.source.test_points
+        for user_id, day in request_stream(points, 0, "undegraded", 16):
+            response = recommender.recommend(user_id, day, k=TOP_K)
+            assert not response.degraded, [str(e) for e in response.fallbacks]
+            assert not response.fallbacks and len(response) == TOP_K
+
     def test_end_to_end_response(self, recommender, od_dataset):
         user = od_dataset.source.test_points[0].history.user_id
         response = recommender.recommend(user_id=user, day=720, k=5)

@@ -86,6 +86,30 @@ class TestPrimitiveGradients:
         assert_gradients_match(lambda a: a[idx], _rand(4, 3))
         assert_gradients_match(lambda a: a.take(idx), _rand(4, 3))
 
+    @pytest.mark.parametrize(
+        "index",
+        [
+            (slice(None), slice(1, 3)), slice(0, 2), 1, (..., 0),
+            (slice(None), None, slice(None, None, 2)), (0, slice(1, None)),
+        ],
+        ids=["columns", "rows", "int", "ellipsis", "none+step", "int+slice"],
+    )
+    def test_getitem_basic_index_assigns(self, index):
+        # Basic indices take the assignment backward (no position repeats).
+        assert_gradients_match(lambda a: a[index], _rand(4, 3))
+
+    def test_getitem_repeated_fancy_index_accumulates(self):
+        a = Tensor(_rand(4, 3), requires_grad=True)
+        a[np.array([1, 1, 1, 3])].sum().backward()
+        np.testing.assert_array_equal(a.grad[:, 0], [0.0, 3.0, 0.0, 1.0])
+        assert_gradients_match(
+            lambda t: t[np.array([0, 0, 2]), 1:], _rand(4, 3)
+        )
+
+    def test_array_on_the_left_of_matmul(self):
+        left = _rand(2, 3, seed=1)
+        assert_gradients_match(lambda w: left @ w, _rand(3, 4))
+
     def test_softmax_log_softmax(self):
         assert_gradients_match(lambda a: a.softmax(axis=-1), _rand(3, 4))
         assert_gradients_match(lambda a: a.log_softmax(axis=-1), _rand(3, 4))
