@@ -2,10 +2,11 @@
 
 The scale-out layer over the single-process serving stack: N worker
 processes (each its own :class:`~repro.serving.FlightRecommender` +
-frozen-graph cache on its own GIL) behind a stdlib HTTP gateway that
+frozen-graph cache on its own GIL) behind a gateway that
 
-- routes by consistent hash on the user id (stable placement) with
-  least-loaded replicas as fallbacks,
+- routes each request to the replica with the fewest requests in flight,
+  the consistent-hash ring's order for the user id breaking ties (so an
+  idle cluster keeps stable placement),
 - retries against a replica when a worker is draining, not ready, or its
   circuit breaker is open,
 - hedges slow attempts: after a p95-derived delay it races one extra
@@ -18,19 +19,15 @@ frozen-graph cache on its own GIL) behind a stdlib HTTP gateway that
 - performs rolling zero-downtime drains: exclude -> drain -> reload
   (model-version bump behind a fresh lifecycle) -> readmit.
 
-Everything is stdlib (``multiprocessing`` + ``http.server`` +
-``http.client``); see ``python -m repro cluster`` for the live demo,
+Everything is stdlib (``multiprocessing`` + length-prefixed JSON frames
+on persistent sockets, :mod:`repro.cluster.wire`); see
+``python -m repro cluster`` for the live demo,
 ``python -m repro chaos --cluster`` for the kill/freeze/crash-loop
 drill, and the ``cluster``/``chaos`` bench phases for the numbers.
 """
 
 from .chaos import ChaosDrillReport, ProcessChaos, run_chaos_drill
-from .client import (
-    ClusterProtocolError,
-    WorkerClient,
-    WorkerUnavailable,
-    http_request_json,
-)
+from .client import ClusterProtocolError, WorkerClient, WorkerUnavailable
 from .config import ClusterConfig, quick_cluster_config
 from .gateway import Gateway, GatewayError, GatewayServer, WorkerHandle
 from .hashring import ConsistentHashRing
@@ -45,7 +42,6 @@ __all__ = [
     "WorkerClient",
     "WorkerUnavailable",
     "ClusterProtocolError",
-    "http_request_json",
     "Gateway",
     "GatewayError",
     "GatewayServer",

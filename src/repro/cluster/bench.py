@@ -6,9 +6,9 @@ request streams:
 1. **concurrent_direct** — one in-process guarded ``FlightRecommender``
    hammered by ``client_concurrency`` threads: the GIL-bound baseline
    every earlier bench tops out at.
-2. **cluster** — the same offered load pushed through the gateway's HTTP
+2. **cluster** — the same offered load pushed through the gateway's
    front into ``num_workers`` worker processes.  Each request pays two
-   localhost HTTP hops, and wins when there are cores to win with,
+   localhost frame hops, and wins when there are cores to win with,
    because the model math runs on ``num_workers`` GILs instead of one.
 3. **rolling_drain** — with client traffic running continuously, one
    worker is excluded, drained, reloaded (model-version bump) and
@@ -190,7 +190,7 @@ def run_cluster_bench_report(bench: ClusterBenchConfig) -> dict:
     direct_rps = _direct_baseline(bench, requests)
 
     with ServingCluster(bench.cluster) as cluster:
-        client = cluster.client()  # connections are per-thread inside
+        client = cluster.client()  # pooled connections: any thread may call
 
         def submit_one(item: dict):
             return client.recommend(item)

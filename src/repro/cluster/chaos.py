@@ -244,8 +244,8 @@ def run_chaos_drill(
         supervisor_status = supervisor.status()
         gateway_counters = {
             name: registry.counter(f"gateway.{name}").value
-            for name in ("routed", "retried", "hedged", "hedge_wins",
-                         "breaker_forced", "rejected")
+            for name in ("routed", "spilled", "retried", "hedged",
+                         "hedge_wins", "breaker_forced", "rejected")
         }
         deaths = _counter_by_reason(registry, "cluster.worker_deaths")
         restarts_counter = registry.counter("cluster.worker_restarts").value

@@ -1,15 +1,17 @@
-"""Stdlib HTTP/JSON plumbing for the cluster (no third-party clients).
+"""The client end of the cluster's frames (:mod:`repro.cluster.wire`).
 
 :class:`WorkerClient` is the gateway's handle on one worker: a small
-pool of keep-alive connections checked out per request (hedge and
-supervision threads at the gateway are short-lived, so affinity by
-thread would reconnect per attempt), JSON in/out, and a single typed
-failure, :class:`WorkerUnavailable`, covering everything the gateway
-should *retry against a replica*: connection refused/reset, a timeout,
-or an explicit 503 from a draining / not-yet-ready worker.
+pool of persistent connections checked out per request, JSON in/out,
+and a single typed failure, :class:`WorkerUnavailable`, covering
+everything the gateway should *retry against a replica*: connection
+refused/reset, a timeout, or an explicit 503 from a draining /
+not-yet-ready worker.
 
-Every attempt runs under a hard per-attempt connect/read deadline — a
-wedged worker costs bounded time, never a hung gateway thread.
+A call is two halves — :meth:`WorkerClient.begin` writes the request
+and returns the attempt, ``attempt.result()`` reads the reply — so the
+gateway can wait for several attempts on its request thread.  Every
+attempt runs under a hard per-attempt connect/read deadline — a wedged
+worker costs bounded time, never a hung gateway thread.
 
 Anything else (a 4xx, a worker-side 500 with a JSON body) surfaces as
 :class:`ClusterProtocolError` — a bug, not a routing event.
@@ -17,30 +19,12 @@ Anything else (a 4xx, a worker-side 500 with a JSON body) surfaces as
 
 from __future__ import annotations
 
-import http.client
-import json
 import socket
 import threading
 
-__all__ = [
-    "ClusterProtocolError",
-    "WorkerUnavailable",
-    "WorkerClient",
-    "http_request_json",
-]
+from .wire import VERBS, ClusterProtocolError, decode, recv_frame, send_frame
 
-
-class ClusterProtocolError(RuntimeError):
-    """A malformed exchange — not retryable, somebody has a bug."""
-
-
-class _NoDelayHTTPConnection(http.client.HTTPConnection):
-    """An HTTPConnection with Nagle disabled — request/response bodies
-    here are tiny, and coalescing delays would dominate the latency."""
-
-    def connect(self):
-        super().connect()
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+__all__ = ["ClusterProtocolError", "WorkerUnavailable", "WorkerClient"]
 
 
 class WorkerUnavailable(RuntimeError):
@@ -52,46 +36,56 @@ class WorkerUnavailable(RuntimeError):
         self.reason = reason
 
 
-def http_request_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: dict | None = None,
-    timeout_s: float = 10.0,
-) -> tuple[int, dict]:
-    """One-shot request (own connection); returns ``(status, body)``."""
-    connection = _NoDelayHTTPConnection(host, port, timeout=timeout_s)
-    try:
-        body = None if payload is None else json.dumps(payload)
-        headers = {"Content-Type": "application/json"} if body else {}
-        connection.request(method, path, body=body, headers=headers)
-        response = connection.getresponse()
-        raw = response.read()
-        return response.status, _decode(raw)
-    finally:
-        connection.close()
+class _Attempt:
+    """One request written to one connection, its reply not yet read."""
 
+    def __init__(self, client: "WorkerClient", sock: socket.socket, resend):
+        self._client = client
+        self._sock = sock
+        self._resend = resend   # the call again, if the socket was pooled
 
-def _decode(raw: bytes) -> dict:
-    if not raw:
-        return {}
-    try:
-        decoded = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ClusterProtocolError(f"non-JSON response body: {raw[:200]!r}") from exc
-    if not isinstance(decoded, dict):
-        raise ClusterProtocolError(f"expected a JSON object, got {decoded!r}")
-    return decoded
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def abandon(self) -> None:
+        """Stop waiting: the connection is closed, never pooled (the
+        reply may still arrive on it)."""
+        self._sock.close()
+
+    def reply(self) -> tuple[int, dict]:
+        """``(status, body)``; the connection goes back to the pool."""
+        try:
+            status, raw = recv_frame(self._sock)
+        except ClusterProtocolError:
+            self._sock.close()
+            raise
+        except OSError as exc:
+            self._sock.close()
+            return self._client._failed(exc, self._resend).reply()
+        self._client._release(self._sock)
+        return status, decode(raw)
+
+    def result(self) -> dict:
+        """The ranking; 503, reset and deadline are
+        :class:`WorkerUnavailable`."""
+        status, body = self.reply()
+        if status == 503:
+            raise WorkerUnavailable(
+                self._client.endpoint, body.get("error", "unavailable")
+            )
+        if status != 200:
+            raise ClusterProtocolError(
+                f"worker {self._client.endpoint} recommend -> {status}: {body}"
+            )
+        return body
 
 
 class WorkerClient:
-    """Pooled keep-alive JSON client for one worker endpoint.
+    """Pooled persistent-connection client for one worker endpoint.
 
     Any thread may call :meth:`request`; a connection is checked out of
     the pool for the duration of the exchange, returned on success, and
-    closed on failure.  The pool keeps sockets warm across the gateway's
-    short-lived hedge/retry threads without any thread affinity.
+    closed on failure — no thread affinity.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 10.0,
@@ -100,7 +94,7 @@ class WorkerClient:
         self.port = port
         self.timeout_s = timeout_s
         self.max_pool = max_pool
-        self._pool: list[http.client.HTTPConnection] = []
+        self._pool: list[socket.socket] = []
         self._pool_lock = threading.Lock()
 
     @property
@@ -108,121 +102,102 @@ class WorkerClient:
         return f"{self.host}:{self.port}"
 
     # ------------------------------------------------------------------
-    def _acquire(self, fresh: bool = False) -> http.client.HTTPConnection:
-        if not fresh:
-            with self._pool_lock:
-                if self._pool:
-                    return self._pool.pop()
-        return _NoDelayHTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
-
-    def _release(self, connection: http.client.HTTPConnection) -> None:
+    def _release(self, sock: socket.socket) -> None:
         with self._pool_lock:
             if len(self._pool) < self.max_pool:
-                self._pool.append(connection)
+                self._pool.append(sock)
                 return
-        connection.close()
+        sock.close()
 
     def close(self) -> None:
         """Close every pooled connection (the client stays usable)."""
         with self._pool_lock:
             pool, self._pool = self._pool, []
-        for connection in pool:
-            connection.close()
+        for sock in pool:
+            sock.close()
 
-    def request(
-        self,
-        method: str,
-        path: str,
-        payload: dict | None = None,
-        timeout_s: float | None = None,
-    ) -> tuple[int, dict]:
-        """JSON request over a pooled keep-alive connection.
+    def _failed(self, exc: OSError, resend) -> _Attempt:
+        """One silent resend — on a guaranteed-fresh socket — covers a
+        pooled connection the server had closed; a timeout or a
+        fresh-connection failure is the real signal."""
+        if resend is None or isinstance(exc, socket.timeout):
+            raise WorkerUnavailable(
+                self.endpoint, f"{type(exc).__name__}: {exc}"
+            ) from exc
+        return self._send(*resend, fresh=True)
 
-        One silent reconnect — on a guaranteed-fresh socket — covers a
-        server-closed pooled connection; a fresh-connection failure is
-        the real signal and raises :class:`WorkerUnavailable`.
+    def _send(self, verb: str, payload: dict | None,
+              timeout_s: float | None, fresh: bool = False) -> _Attempt:
+        """Write one request under the per-attempt deadline.
 
-        Every attempt runs under a hard connect/read deadline.
-        ``connection.timeout`` only applies when the socket is created,
-        so the deadline is also pushed onto the *live* pooled socket —
-        without that, a request against a wedged (e.g. SIGSTOP'd)
-        worker would wait out whatever timeout the socket was born with,
-        and a ``timeout_s=None`` call would never return at all.  A
+        The deadline is set on the socket whether it was just connected
+        or pooled — a request against a wedged (e.g. SIGSTOP'd) worker
+        must not wait out whatever timeout the socket was born with.  A
         ``None`` argument falls back to the client default; there is no
         unbounded mode.
         """
+        code = VERBS.index(verb)
         deadline_s = timeout_s if timeout_s is not None else self.timeout_s
-        body = None if payload is None else json.dumps(payload)
-        headers = {"Content-Type": "application/json"} if body else {}
-        for attempt in (0, 1):
-            connection = self._acquire(fresh=attempt == 1)
-            connection.timeout = deadline_s
-            if connection.sock is not None:
-                connection.sock.settimeout(deadline_s)
-            try:
-                connection.request(method, path, body=body, headers=headers)
-                response = connection.getresponse()
-                raw = response.read()
-            except (ConnectionError, http.client.HTTPException,
-                    socket.timeout, OSError) as exc:
-                connection.close()
-                if attempt == 1 or isinstance(exc, socket.timeout):
-                    raise WorkerUnavailable(
-                        self.endpoint, f"{type(exc).__name__}: {exc}"
-                    ) from exc
-            else:
-                self._release(connection)
-                return response.status, _decode(raw)
-        raise AssertionError("unreachable")
+        with self._pool_lock:
+            sock = self._pool.pop() if self._pool and not fresh else None
+        resend = None if sock is None else (verb, payload, timeout_s)
+        try:
+            if sock is None:
+                sock = socket.create_connection(
+                    (self.host, self.port), timeout=deadline_s
+                )
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(deadline_s)
+            send_frame(sock, code, payload or {})
+        except OSError as exc:
+            if sock is not None:
+                sock.close()
+            return self._failed(exc, resend)
+        return _Attempt(self, sock, resend)
+
+    def request(self, verb: str, payload: dict | None = None,
+                timeout_s: float | None = None) -> tuple[int, dict]:
+        """One exchange: ``(status, body)``."""
+        return self._send(verb, payload, timeout_s).reply()
 
     # ------------------------------------------------------------------
+    def begin(self, payload: dict, timeout_s: float | None = None) -> _Attempt:
+        """Write a ranking request; :class:`WorkerUnavailable` if it
+        cannot be.  The reply is ``attempt.result()``."""
+        return self._send("recommend", payload, timeout_s)
+
     def recommend(self, payload: dict, timeout_s: float | None = None) -> dict:
-        status, body = self.request(
-            "POST", "/recommend", payload, timeout_s=timeout_s
-        )
-        if status == 503:
-            raise WorkerUnavailable(
-                self.endpoint, body.get("error", "unavailable")
-            )
-        if status != 200:
-            raise ClusterProtocolError(
-                f"worker {self.endpoint} /recommend -> {status}: {body}"
-            )
-        return body
+        return self.begin(payload, timeout_s).result()
 
     def health(self, timeout_s: float | None = None) -> dict:
-        status, body = self.request("GET", "/health", timeout_s=timeout_s)
+        status, body = self.request("health", timeout_s=timeout_s)
         if status != 200:
             raise WorkerUnavailable(self.endpoint, f"health -> {status}")
         return body
 
     def drain(self, timeout_s: float | None = None) -> dict:
         status, body = self.request(
-            "POST", "/admin/drain",
+            "drain",
             {} if timeout_s is None else {"timeout_s": timeout_s},
             timeout_s=None if timeout_s is None else timeout_s + 5.0,
         )
         if status != 200:
             raise ClusterProtocolError(
-                f"worker {self.endpoint} /admin/drain -> {status}: {body}"
+                f"worker {self.endpoint} drain -> {status}: {body}"
             )
         return body
 
     def reload(self, timeout_s: float | None = None) -> dict:
-        status, body = self.request(
-            "POST", "/admin/reload", {}, timeout_s=timeout_s
-        )
+        status, body = self.request("reload", timeout_s=timeout_s)
         if status != 200:
             raise ClusterProtocolError(
-                f"worker {self.endpoint} /admin/reload -> {status}: {body}"
+                f"worker {self.endpoint} reload -> {status}: {body}"
             )
         return body
 
     def shutdown(self) -> None:
         try:
-            self.request("POST", "/admin/shutdown", {}, timeout_s=5.0)
+            self.request("shutdown", timeout_s=5.0)
         except WorkerUnavailable:
             pass  # already gone is the goal state
         finally:

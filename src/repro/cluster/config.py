@@ -34,9 +34,9 @@ class ClusterConfig:
     #: directory of a :class:`repro.online.SnapshotStore`.  When set,
     #: workers overlay the latest *published* snapshot onto their
     #: deterministic seed weights at build time and again on every
-    #: ``/admin/reload`` — so respawned or rolling-restarted replicas
+    #: ``reload`` — so respawned or rolling-restarted replicas
     #: always come up on the online loop's most recent approved version
-    #: (reported as ``model_version`` in ``/health``).
+    #: (reported as ``model_version`` in ``health``).
     snapshot_dir: str | None = None
 
     # --- per-worker guard (admission + lifecycle/drain) ---------------
@@ -66,7 +66,7 @@ class ClusterConfig:
     # --- supervision (crash/wedge detection + automatic replacement) --
     supervise: bool = True
     supervise_interval_s: float = 0.2
-    heartbeat_interval_s: float = 1.0    # /health probe cadence per worker
+    heartbeat_interval_s: float = 1.0    # health probe cadence per worker
     heartbeat_timeout_s: float = 1.0     # per-probe socket deadline
     heartbeat_stale_s: float = 3.0       # no good probe for this long = wedged
     restart_budget: int = 3              # replacements per worker slot

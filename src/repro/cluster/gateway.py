@@ -1,21 +1,25 @@
 """The cluster's front door: route, retry, hedge, heal, aggregate health.
 
 The :class:`Gateway` owns a :class:`~repro.cluster.hashring.ConsistentHashRing`
-mapping user ids to a *preferred* worker, with the remaining replicas as
-least-loaded fallbacks.  A request walks down that candidate list
-whenever a worker is excluded (being rolled), its circuit breaker is
-open, or the call comes back unavailable (connection failure, timeout,
-or a 503 from a draining/not-ready worker).  Because every replica is
-model-identical, a retry is invisible to the caller — this is what makes
-the rolling drain zero-downtime.
+giving every user id a preference order over the workers, and sends a
+request to the replica with the fewest requests *in flight*, the ring's
+order breaking ties — the user's owner whenever it is no busier than
+anyone else.  A request walks down that candidate list whenever a
+worker is excluded (being rolled), its circuit breaker is open, or the
+call comes back unavailable (connection failure, timeout, or a 503 from
+a draining/not-ready worker).  Because every replica is model-identical,
+a retry is invisible to the caller — this is what makes the rolling
+drain zero-downtime.
 
 **Hedged requests.** A slow attempt is not waited out: after a hedge
-delay (the p95 of observed gateway latency once enough samples exist,
-else a static default) the gateway races *one* extra replica and takes
-the first success.  A wedged worker therefore costs one hedge delay of
-extra latency, not a full per-attempt timeout — and the per-attempt
-socket deadline in :mod:`repro.cluster.client` bounds the abandoned
-attempt's thread.
+delay (the p95 of the last :data:`HEDGE_WINDOW` attempt latencies once
+enough samples exist, else a static default) the gateway races *one*
+extra replica and takes the first success.  Attempts are requests
+written to sockets the request thread polls — no thread per attempt —
+and the loser is abandoned (its connection closed).  A primary that
+loses to its hedge records a breaker *failure*, so a wedged worker
+costs one hedge delay a request until its breaker opens, not a full
+per-attempt timeout.
 
 **Self-healing membership.** The supervisor splices replacements in
 with :meth:`Gateway.replace_worker` (same ring name → zero remap; the
@@ -28,6 +32,8 @@ lockout heals on the next healthy response, not on a timer.
 Observability (all in the gateway process's registry):
 
 - ``gateway.routed`` — successful proxies, aggregate and per-``worker``;
+- ``gateway.spilled`` — requests sent past their ring owner to a less
+  loaded replica;
 - ``gateway.retried`` — sequential attempts after a failure;
 - ``gateway.hedged`` / ``gateway.hedge_wins`` — races started after the
   hedge delay / races the hedge attempt won;
@@ -38,27 +44,36 @@ Observability (all in the gateway process's registry):
   ``unavailable``);
 - ``gateway.rejected`` — requests no replica could take;
 - ``gateway.inflight`` (gauge) — requests currently inside the gateway;
-- ``gateway.latency_ms`` (histogram) — successful attempt latency, the
-  source of the p95-derived hedge delay.
+- ``gateway.latency_ms`` (histogram) — successful attempt latency.
 
-:class:`GatewayServer` exposes the gateway over the same stdlib HTTP
-dialect the workers speak: ``POST /recommend`` and ``GET /health``.
+:class:`GatewayServer` exposes the gateway over the frames the workers
+speak (:mod:`repro.cluster.wire`): the ``recommend`` and ``health`` verbs.
 """
 
 from __future__ import annotations
 
-import queue
+import collections
+import operator
+import select
 import threading
 import time
+
+import numpy as np
 
 from ..obs.registry import get_registry
 from ..resilience import CircuitBreaker
 from .client import WorkerClient, WorkerUnavailable
 from .config import ClusterConfig
 from .hashring import ConsistentHashRing
-from .httpd import JsonHttpServer
+from .wire import FrameServer
 
 __all__ = ["GatewayError", "WorkerHandle", "Gateway", "GatewayServer"]
+
+#: The hedge delay is the p95 of this many most recent attempt latencies,
+#: recomputed once per HEDGE_REFRESH observations.
+HEDGE_WINDOW = 1024
+HEDGE_REFRESH = 64
+_IN_FLIGHT = operator.attrgetter("in_flight")
 
 
 class GatewayError(RuntimeError):
@@ -122,6 +137,10 @@ class Gateway:
         self._members_lock = threading.RLock()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        self._latencies = collections.deque(maxlen=HEDGE_WINDOW)
+        self._observed = 0
+        self._latency_lock = threading.Lock()
+        self._hedge_delay_ms = config.hedge_delay_ms
 
     # ------------------------------------------------------------------
     def worker(self, worker_id: int) -> WorkerHandle:
@@ -131,19 +150,17 @@ class Gateway:
             raise KeyError(f"no worker w{worker_id}")
         return handle
 
-    def route_order(self, user_id) -> list[WorkerHandle]:
-        """Preferred owner by consistent hash, then replicas least-loaded
-        first — the fallback order a retry walks."""
+    def _ring_order(self, user_id) -> list[WorkerHandle]:
         with self._members_lock:
             names = self.ring.preference(
                 user_id, [handle.name for handle in self.handles]
             )
-            ordered = [self._by_name[name] for name in names]
-        if not ordered:
-            return []
-        return [ordered[0]] + sorted(
-            ordered[1:], key=lambda handle: handle.in_flight
-        )
+            return [self._by_name[name] for name in names]
+
+    def route_order(self, user_id) -> list[WorkerHandle]:
+        """The ring's preference order, stably sorted by requests in
+        flight: least loaded first, the owner wherever it ties."""
+        return sorted(self._ring_order(user_id), key=_IN_FLIGHT)
 
     # ------------------------------------------------------------------
     def recommend(self, payload: dict) -> dict:
@@ -162,31 +179,42 @@ class Gateway:
                 self._inflight -= 1
                 registry.gauge("gateway.inflight").set(self._inflight)
 
-    def _hedge_delay_s(self, registry) -> float | None:
+    def _hedge_delay_s(self) -> float | None:
         """How long the primary attempt gets before a replica is raced:
-        the p95 of observed gateway latency once ``hedge_min_samples``
+        the windowed p95 of attempt latency once ``hedge_min_samples``
         are in (floored at ``hedge_min_delay_ms``), else the static
         ``hedge_delay_ms``.  ``None`` disables hedging."""
         if not self.config.hedge_enabled:
             return None
-        histogram = registry.histogram("gateway.latency_ms")
-        if histogram.count >= self.config.hedge_min_samples:
-            return max(
-                histogram.percentile(95), self.config.hedge_min_delay_ms
-            ) / 1000.0
-        return self.config.hedge_delay_ms / 1000.0
+        return self._hedge_delay_ms / 1000.0
+
+    def _observe_latency(self, registry, latency_ms: float) -> None:
+        registry.histogram("gateway.latency_ms").observe(latency_ms)
+        with self._latency_lock:
+            self._latencies.append(latency_ms)
+            self._observed += 1
+            if self._observed % HEDGE_REFRESH \
+                    or self._observed < self.config.hedge_min_samples:
+                return
+            window = list(self._latencies)
+        self._hedge_delay_ms = max(
+            float(np.percentile(window, 95)), self.config.hedge_min_delay_ms
+        )
 
     def _recommend_with_retries(self, payload: dict, registry) -> dict:
-        """The hedged attempt ladder.
+        """The hedged attempt ladder, all of it on the request thread.
 
-        Launch the preferred candidate; if it is still pending after the
+        Send to the first candidate; if it is still pending after the
         hedge delay, race one replica (``gateway.hedged``) and take the
         first success.  A *failed* attempt advances down the candidate
         list immediately (``gateway.retried``).  Skips consume no
         half-open breaker probes: ``allow()`` is only asked at the
         moment an attempt actually launches.
         """
-        order = self.route_order(payload["user_id"])
+        ring_order = self._ring_order(payload["user_id"])
+        order = sorted(ring_order, key=_IN_FLIGHT)
+        if order and order[0] is not ring_order[0]:
+            registry.counter("gateway.spilled").inc()
         position = 0
         breaker_skipped: list[WorkerHandle] = []
         state = {"last_reason": "no_candidates"}
@@ -208,41 +236,51 @@ class Gateway:
                 return handle
             return None
 
-        results: queue.Queue = queue.Queue()
-
-        def attempt(handle: WorkerHandle, hedged: bool) -> None:
-            handle.begin()
-            started = time.perf_counter()
-            try:
-                response = handle.client.recommend(
-                    payload, timeout_s=self.config.request_timeout_s
-                )
-            except WorkerUnavailable as exc:
-                handle.breaker.record_failure()
-                results.put((handle, None, exc, hedged))
-            except Exception as exc:  # a protocol bug: deliver, don't drop
-                results.put((handle, None, exc, hedged))
-            else:
-                handle.breaker.record_success()
-                registry.histogram("gateway.latency_ms").observe(
-                    (time.perf_counter() - started) * 1000.0
-                )
-                results.put((handle, response, None, hedged))
-            finally:
-                handle.end()
-
+        timeout_s = self.config.request_timeout_s
+        poller = select.poll()
+        #: fileno -> (attempt, handle, started, hedged): sent, unanswered
+        pending: dict[int, tuple] = {}
         launched = 0
-        pending = 0
         hedges = 0
 
         def launch(handle: WorkerHandle, hedged: bool) -> None:
-            nonlocal launched, pending
+            nonlocal launched
             launched += 1
-            pending += 1
-            threading.Thread(
-                target=attempt, args=(handle, hedged),
-                name=f"repro-gateway-attempt-{handle.name}", daemon=True,
-            ).start()
+            # Counted before the bytes leave: the next request is routed
+            # while this one is on the wire and must see it.
+            handle.begin()
+            try:
+                attempt = handle.client.begin(payload, timeout_s=timeout_s)
+            except BaseException as exc:
+                handle.end()
+                if not isinstance(exc, WorkerUnavailable):
+                    raise
+                failed(handle, exc.reason)
+                return
+            pending[attempt.fileno()] = (
+                attempt, handle, time.perf_counter(), hedged
+            )
+            poller.register(attempt, select.POLLIN)
+
+        def failed(handle: WorkerHandle, reason: str) -> None:
+            handle.breaker.record_failure()
+            self._skip(registry, handle, "unavailable")
+            state["last_reason"] = reason
+            if not pending:
+                replacement = next_ready()
+                if replacement is not None:
+                    registry.counter("gateway.retried").inc()
+                    launch(replacement, hedged=False)
+
+        def started_at(fileno: int) -> float:
+            return pending[fileno][2]
+
+        def settle(fileno: int) -> tuple:
+            """One attempt out of flight, whatever becomes of it."""
+            entry = pending.pop(fileno)
+            poller.unregister(fileno)
+            entry[1].end()
+            return entry
 
         first = next_ready()
         if first is None and breaker_skipped:
@@ -253,47 +291,67 @@ class Gateway:
             # one healthy response starts closing the loop.
             first = breaker_skipped[0]
             registry.counter("gateway.breaker_forced").inc()
-        if first is not None:
-            launch(first, hedged=False)
-        while pending:
-            hedge_wait = self._hedge_delay_s(registry) if hedges == 0 \
-                else None
-            try:
-                handle, response, error, hedged = results.get(
-                    timeout=hedge_wait
-                )
-            except queue.Empty:
-                # The attempt in flight is slow: race one replica.
-                backup = next_ready()
-                hedges += 1   # at most one race per request
-                if backup is None:
-                    continue  # nothing to race; wait the attempt out
-                registry.counter("gateway.hedged").inc()
-                registry.counter(
-                    "gateway.hedged", labels={"worker": backup.name}
-                ).inc()
-                launch(backup, hedged=True)
-                continue
-            pending -= 1
-            if error is not None and not isinstance(error, WorkerUnavailable):
-                raise error
-            if response is not None:
-                if hedged:
-                    registry.counter("gateway.hedge_wins").inc()
-                registry.counter("gateway.routed").inc()
-                registry.counter(
-                    "gateway.routed", labels={"worker": handle.name}
-                ).inc()
-                response["routed_worker"] = handle.worker_id
-                response["attempts"] = launched
-                return response
-            self._skip(registry, handle, "unavailable")
-            state["last_reason"] = error.reason
-            if pending == 0:
-                replacement = next_ready()
-                if replacement is not None:
-                    registry.counter("gateway.retried").inc()
-                    launch(replacement, hedged=False)
+        try:
+            if first is not None:
+                launch(first, hedged=False)
+            while pending:
+                expires = min(map(started_at, pending)) + timeout_s
+                wait_s = expires - time.perf_counter()
+                hedge_s = self._hedge_delay_s() if hedges == 0 else None
+                if hedge_s is not None:
+                    wait_s = min(wait_s, hedge_s)
+                # poll, not select.select: that one fails on any
+                # descriptor numbered 1024 or above.
+                ready = poller.poll(max(wait_s, 0.0) * 1000.0)
+                if not ready and time.perf_counter() < expires:
+                    # The attempt in flight is slow: race one replica.
+                    hedges += 1   # at most one race per request
+                    backup = next_ready()
+                    if backup is not None:
+                        registry.counter("gateway.hedged").inc()
+                        registry.counter(
+                            "gateway.hedged", labels={"worker": backup.name}
+                        ).inc()
+                        launch(backup, hedged=True)
+                    continue
+                if not ready:
+                    # The oldest attempt is past its deadline.
+                    attempt, handle, _, _ = settle(min(pending, key=started_at))
+                    attempt.abandon()
+                    failed(handle, "deadline")
+                # Oldest first: when both sides of a race have answered
+                # the primary wins.
+                for fileno in sorted(
+                    (fileno for fileno, _ in ready), key=started_at
+                ):
+                    attempt, handle, started, hedged = settle(fileno)
+                    try:
+                        response = attempt.result()
+                    except WorkerUnavailable as exc:
+                        failed(handle, exc.reason)
+                        continue
+                    handle.breaker.record_success()
+                    self._observe_latency(
+                        registry, (time.perf_counter() - started) * 1000.0
+                    )
+                    if hedged:
+                        registry.counter("gateway.hedge_wins").inc()
+                        # The primary outlasted the hedge delay plus a
+                        # whole replica round trip: that is a failure —
+                        # what opens the breaker on a wedged worker.
+                        for _, primary, _, raced in pending.values():
+                            if not raced:
+                                primary.breaker.record_failure()
+                    registry.counter("gateway.routed").inc()
+                    registry.counter(
+                        "gateway.routed", labels={"worker": handle.name}
+                    ).inc()
+                    response["routed_worker"] = handle.worker_id
+                    response["attempts"] = launched
+                    return response
+        finally:
+            for fileno in list(pending):
+                settle(fileno)[0].abandon()   # records nothing
         registry.counter("gateway.rejected").inc()
         raise GatewayError(
             f"no replica available after {launched} attempt(s) "
@@ -387,6 +445,7 @@ class Gateway:
             "per_worker": per_worker,
             "gateway": {
                 "routed": registry.counter("gateway.routed").value,
+                "spilled": registry.counter("gateway.spilled").value,
                 "retried": registry.counter("gateway.retried").value,
                 "hedged": registry.counter("gateway.hedged").value,
                 "hedge_wins": registry.counter("gateway.hedge_wins").value,
@@ -412,24 +471,24 @@ class Gateway:
 
 
 class GatewayServer:
-    """The gateway's own HTTP front (same dialect as the workers)."""
+    """The gateway's own frame front (same dialect as the workers)."""
 
     def __init__(self, gateway: Gateway, host: str, port: int = 0):
         self.gateway = gateway
-        self.httpd = JsonHttpServer(host, {
-            ("POST", "/recommend"): gateway.handle_recommend,
-            ("GET", "/health"): gateway.handle_health,
+        self.server = FrameServer(host, {
+            "recommend": gateway.handle_recommend,
+            "health": gateway.handle_health,
         }, port=port)
-        self.host, self.port = self.httpd.host, self.httpd.port
+        self.host, self.port = self.server.host, self.server.port
 
     def start(self) -> None:
-        self.httpd.start_in_thread("repro-cluster-gateway")
+        self.server.start_in_thread("repro-cluster-gateway")
 
     def stop(self) -> None:
-        self.httpd.shutdown()
+        self.server.shutdown()
 
     def client(self) -> WorkerClient:
-        """A keep-alive client pointed at this gateway (same dialect)."""
+        """A pooled client pointed at this gateway (same dialect)."""
         return WorkerClient(
             self.host, self.port,
             timeout_s=self.gateway.config.request_timeout_s,

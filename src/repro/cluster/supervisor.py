@@ -7,7 +7,7 @@ watches every worker slot through two independent signals:
 - **process liveness** — ``Process.is_alive()`` / ``exitcode``.  Catches
   the loud deaths: SIGKILL, segfault (``os._exit`` in the chaos drill),
   OOM-kill.
-- **heartbeat staleness** — a ``GET /health`` probe per
+- **heartbeat staleness** — a ``health`` probe per
   ``heartbeat_interval_s`` under a hard ``heartbeat_timeout_s`` socket
   deadline.  A worker with no *successful* probe for
   ``heartbeat_stale_s`` is **wedged**: the process is alive (a

@@ -1,24 +1,25 @@
-"""One serving worker process: a `FlightRecommender` behind HTTP.
+"""One serving worker process: a `FlightRecommender` behind frames.
 
 :func:`worker_main` is the ``multiprocessing`` entry point.  Each worker
 builds its *own* dataset + model deterministically from the shared
 :class:`~repro.cluster.config.ClusterConfig` seed (replicas are
 identical, so any worker can answer for any user), wraps it in a guarded
-:class:`~repro.serving.FlightRecommender`, and serves:
+:class:`~repro.serving.FlightRecommender`, and serves the verbs of
+:mod:`repro.cluster.wire`:
 
-- ``POST /recommend`` — rank for one user.  Replies **503** when the
+- ``recommend`` — rank for one user.  Replies **503** when the
   worker's :class:`~repro.guard.ServerLifecycle` is draining or not yet
   ready — the signal the gateway retries against a replica — including
   the race where a drain lands *between* the readiness check and the
   request (surfaced as an ``admission:draining`` fallback event).
-- ``GET /health`` — lifecycle state + the worker-labelled counter
+- ``health`` — lifecycle state + the worker-labelled counter
   snapshot the gateway aggregates.
-- ``POST /admin/drain`` — graceful drain (stop admitting, flush the
+- ``drain`` — graceful drain (stop admitting, flush the
   micro-batch pool, finish in-flight).
-- ``POST /admin/reload`` — the model-push swap: drain if still
+- ``reload`` — the model-push swap: drain if still
   admitting, bump the model version, then install a **fresh** guard
   (a drained lifecycle is terminal by design) and admit again.
-- ``POST /admin/shutdown`` — stop the HTTP loop and exit the process.
+- ``shutdown`` — stop the accept loop and exit the process.
 
 With ``ClusterConfig.snapshot_dir`` set, the worker polls a
 :class:`~repro.online.SnapshotFollower` over its scoring session (or
@@ -39,7 +40,7 @@ from ..obs.registry import MetricsRegistry, set_registry
 from ..resilience import FaultInjector, FaultSpec, set_fault_injector
 from ..resilience.chaos import inject
 from .config import ClusterConfig
-from .httpd import JsonHttpServer
+from .wire import FrameServer
 
 __all__ = ["WorkerRuntime", "worker_main"]
 
@@ -81,7 +82,7 @@ def _guard_config(config: ClusterConfig, worker_id: int) -> GuardConfig:
 
 
 class WorkerRuntime:
-    """The in-process state one worker serves from (testable sans HTTP)."""
+    """The in-process state one worker serves from (testable sans wire)."""
 
     def __init__(self, config: ClusterConfig, worker_id: int,
                  registry: MetricsRegistry | None = None):
@@ -233,19 +234,15 @@ class WorkerRuntime:
         def handle_shutdown(payload: dict) -> tuple[int, dict]:
             server = server_holder.get("server")
             if server is not None:
-                # shutdown() must run off the request thread or it
-                # deadlocks waiting for this very handler to finish.
-                threading.Thread(
-                    target=server.request_stop, daemon=True
-                ).start()
+                server.request_stop()
             return 200, {"worker_id": self.worker_id, "stopping": True}
 
         return {
-            ("POST", "/recommend"): self.handle_recommend,
-            ("GET", "/health"): self.handle_health,
-            ("POST", "/admin/drain"): self.handle_drain,
-            ("POST", "/admin/reload"): self.handle_reload,
-            ("POST", "/admin/shutdown"): handle_shutdown,
+            "recommend": self.handle_recommend,
+            "health": self.handle_health,
+            "drain": self.handle_drain,
+            "reload": self.handle_reload,
+            "shutdown": handle_shutdown,
         }
 
 
@@ -276,14 +273,13 @@ def worker_main(config: ClusterConfig, worker_id: int, ready_queue) -> None:
             ))
             set_fault_injector(chaos)
         holder: dict = {}
-        httpd = JsonHttpServer(config.host, runtime.routes(holder))
-        holder["server"] = httpd
+        server = FrameServer(config.host, runtime.routes(holder))
+        holder["server"] = server
     except Exception as exc:
         ready_queue.put({
             "worker_id": worker_id,
             "error": f"{type(exc).__name__}: {exc}",
         })
         return
-    ready_queue.put({"worker_id": worker_id, "port": httpd.port})
-    httpd.serve_forever()
-    httpd.server.server_close()
+    ready_queue.put({"worker_id": worker_id, "port": server.port})
+    server.serve_forever()

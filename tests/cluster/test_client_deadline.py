@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.cluster import WorkerClient, WorkerUnavailable
+from repro.cluster.wire import recv_frame, send_frame
 
 #: Generous wall-clock ceiling for a sub-second deadline to fire.
 BOUND_S = 3.0
@@ -58,7 +59,7 @@ class TestPerAttemptDeadline:
         client = WorkerClient(host, port, timeout_s=30.0)
         start = time.monotonic()
         with pytest.raises(WorkerUnavailable, match="[Tt]ime"):
-            client.request("GET", "/health", timeout_s=0.3)
+            client.request("health", timeout_s=0.3)
         assert time.monotonic() - start < BOUND_S
 
     def test_no_timeout_falls_back_to_client_default(self, silent_server):
@@ -68,13 +69,13 @@ class TestPerAttemptDeadline:
         client = WorkerClient(host, port, timeout_s=0.3)
         start = time.monotonic()
         with pytest.raises(WorkerUnavailable, match="[Tt]ime"):
-            client.request("GET", "/health")
+            client.request("health")
         assert time.monotonic() - start < BOUND_S
 
     def test_keepalive_socket_gets_the_per_attempt_deadline(self):
-        """The regression: ``connection.timeout`` only applies at connect
-        time, so a shorter per-attempt deadline must be pushed onto the
-        already-open keep-alive socket too."""
+        """The regression: a socket keeps the timeout it was connected
+        with, so a shorter per-attempt deadline must be pushed onto the
+        already-open pooled socket too."""
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -84,12 +85,8 @@ class TestPerAttemptDeadline:
         def serve_once_then_go_silent():
             conn, _ = server.accept()
             conns.append(conn)
-            conn.recv(65536)
-            conn.sendall(
-                b"HTTP/1.1 200 OK\r\n"
-                b"Content-Type: application/json\r\n"
-                b"Content-Length: 2\r\n\r\n{}"
-            )
+            recv_frame(conn)
+            send_frame(conn, 200, {})
             # The second request on the same socket gets no reply.
             try:
                 conn.recv(65536)
@@ -102,11 +99,11 @@ class TestPerAttemptDeadline:
         thread.start()
         try:
             client = WorkerClient(host, port, timeout_s=30.0)
-            status, body = client.request("GET", "/health", timeout_s=5.0)
+            status, body = client.request("health", timeout_s=5.0)
             assert status == 200 and body == {}
             start = time.monotonic()
             with pytest.raises(WorkerUnavailable, match="[Tt]ime"):
-                client.request("GET", "/health", timeout_s=0.3)
+                client.request("health", timeout_s=0.3)
             assert time.monotonic() - start < BOUND_S
         finally:
             for conn in conns:

@@ -15,8 +15,8 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     ServingCluster,
+    WorkerClient,
     WorkerUnavailable,
-    http_request_json,
 )
 
 CONFIG = ClusterConfig(
@@ -105,15 +105,17 @@ class TestServing:
 
     def test_bad_payload_is_a_400_not_a_crash(self, cluster):
         host, port = cluster.gateway_address
-        status, body = http_request_json(
-            host, port, "POST", "/recommend", {"day": 1}
+        status, body = WorkerClient(host, port).request(
+            "recommend", {"day": 1}
         )
         assert status == 400
         assert "user_id" in body["error"]
 
     def test_unknown_route_is_404(self, cluster):
+        """The gateway serves ``recommend`` and ``health``; a worker's
+        admin verbs have no route there."""
         host, port = cluster.gateway_address
-        status, _ = http_request_json(host, port, "GET", "/nope")
+        status, _ = WorkerClient(host, port).request("drain", {})
         assert status == 404
 
 
@@ -143,9 +145,9 @@ class TestHealth:
             "w0", "w1",
         }
 
-    def test_gateway_health_endpoint_over_http(self, cluster):
+    def test_gateway_health_endpoint_over_the_wire(self, cluster):
         host, port = cluster.gateway_address
-        status, body = http_request_json(host, port, "GET", "/health")
+        status, body = WorkerClient(host, port).request("health")
         assert status == 200
         assert body["workers"] == 2
 

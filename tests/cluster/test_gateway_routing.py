@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.cluster import (
     ClusterConfig,
+    ClusterProtocolError,
     Gateway,
     GatewayError,
     WorkerHandle,
@@ -13,11 +17,13 @@ from repro.cluster import (
 )
 from repro.obs import MetricsRegistry, use_registry
 
+from .attempts import BlockingBegin
+
 CONFIG = ClusterConfig(num_workers=3, breaker_min_calls=2,
                        breaker_window=4, breaker_recovery_s=60.0)
 
 
-class FakeClient:
+class FakeClient(BlockingBegin):
     """Scripted worker client: always unavailable (the dead replica)."""
 
     def __init__(self, worker_id: int, fail_times: int = 0):
@@ -89,6 +95,75 @@ class TestRouting:
         others[0].end()
         others[0].end()
 
+    def test_busy_owner_spills_to_the_idle_replica(self):
+        with use_registry(MetricsRegistry()) as registry:
+            clients = [AnsweringClient(i) for i in range(3)]
+            gateway, _ = make_gateway(clients)
+            ring_order = gateway.route_order(7)
+            owner = ring_order[0]
+            owner.begin()
+            try:
+                # Ties among the idle replicas keep the ring's order.
+                assert gateway.route_order(7) == ring_order[1:] + [owner]
+                response = gateway.recommend({"user_id": 7})
+            finally:
+                owner.end()
+            assert response["routed_worker"] == ring_order[1].worker_id
+            assert response["attempts"] == 1
+            assert owner.client.calls == 0
+            assert registry.counter("gateway.spilled").value == 1
+            assert gateway.cluster_health()["gateway"]["spilled"] == 1
+
+    def test_equal_load_keeps_the_ring_owner(self):
+        with use_registry(MetricsRegistry()) as registry:
+            clients = [AnsweringClient(i) for i in range(3)]
+            gateway, handles = make_gateway(clients)
+            owner = gateway.route_order(7)[0]
+            for handle in handles:
+                handle.begin()
+            try:
+                assert gateway.route_order(7)[0] is owner
+                response = gateway.recommend({"user_id": 7})
+            finally:
+                for handle in handles:
+                    handle.end()
+            assert response["routed_worker"] == owner.worker_id
+            assert registry.counter("gateway.spilled").value == 0
+
+    def test_concurrent_requests_for_one_user_use_both_workers(self):
+        """In-flight is counted when a request is *sent*, so the second
+        request is routed around the first."""
+        release = threading.Event()
+
+        class SlowClient(AnsweringClient):
+            def recommend(self, payload, timeout_s=None):
+                assert release.wait(timeout=10.0)
+                return super().recommend(payload, timeout_s)
+
+        with use_registry(MetricsRegistry()):
+            gateway, handles = make_gateway([SlowClient(0), SlowClient(1)])
+            routed: list[int] = []
+            threads = [
+                threading.Thread(target=lambda: routed.append(
+                    gateway.recommend({"user_id": 7})["routed_worker"]
+                ))
+                for _ in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            try:
+                give_up = time.monotonic() + 10.0
+                while sum(handle.in_flight for handle in handles) < 2:
+                    assert time.monotonic() < give_up
+                    time.sleep(0.005)
+                assert [handle.in_flight for handle in handles] == [1, 1]
+            finally:
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+            assert sorted(routed) == [0, 1]
+            assert [handle.in_flight for handle in handles] == [0, 0]
+
 
 class TestRetries:
     def test_retries_unavailable_worker_against_replica(self):
@@ -141,6 +216,49 @@ class TestRetries:
             with pytest.raises(GatewayError, match="no replica available"):
                 gateway.recommend({"user_id": 1})
             assert registry.counter("gateway.rejected").value == 1
+
+    def test_send_failure_is_a_failed_attempt_that_retries(self):
+        """``begin`` itself raising (connection refused) walks on down
+        the list exactly like an attempt that failed on the wire."""
+        class RefusingClient(AnsweringClient):
+            def begin(self, payload, timeout_s=None):
+                self.calls += 1
+                raise WorkerUnavailable(f"fake:{self.worker_id}", "refused")
+
+        with use_registry(MetricsRegistry()) as registry:
+            gateway, handles = make_gateway(
+                [RefusingClient(0), RefusingClient(1)]
+            )
+            with pytest.raises(GatewayError, match="2 attempt.*refused"):
+                gateway.recommend({"user_id": 7})
+            assert registry.counter("gateway.retried").value == 1
+            assert [handle.in_flight for handle in handles] == [0, 0]
+            # Each refusal is on its worker's breaker record.
+            assert [handle.breaker.failure_rate() for handle in handles] \
+                == [1.0, 1.0]
+
+    def test_nothing_left_in_flight_on_any_exit(self):
+        """``end()`` runs on success, on failure and when a protocol bug
+        is raised through the ladder."""
+        class BuggyClient(AnsweringClient):
+            def recommend(self, payload, timeout_s=None):
+                raise ClusterProtocolError("worker fake recommend -> 500")
+
+        with use_registry(MetricsRegistry()) as registry:
+            clients = [AnsweringClient(0, fail_times=1), AnsweringClient(1)]
+            gateway, handles = make_gateway(clients)
+            for user_id in range(6):          # success, and retried failure
+                gateway.recommend({"user_id": user_id})
+            gateway.replace_worker(0, BuggyClient(0))
+            gateway.replace_worker(1, BuggyClient(1))
+            with pytest.raises(ClusterProtocolError):
+                gateway.recommend({"user_id": 1})
+            gateway.replace_worker(0, FakeClient(0))
+            gateway.replace_worker(1, FakeClient(1))
+            with pytest.raises(GatewayError):
+                gateway.recommend({"user_id": 1})
+            assert [handle.in_flight for handle in handles] == [0, 0]
+            assert registry.gauge("gateway.inflight").value == 0
 
     def test_routed_counters_label_the_serving_worker(self):
         with use_registry(MetricsRegistry()) as registry:

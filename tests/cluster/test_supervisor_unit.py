@@ -15,6 +15,8 @@ from repro.cluster import (
 )
 from repro.obs import MetricsRegistry, use_registry
 
+from .attempts import BlockingBegin
+
 CONFIG = ClusterConfig(
     num_workers=2,
     supervise_interval_s=0.2,
@@ -27,7 +29,7 @@ CONFIG = ClusterConfig(
 )
 
 
-class HealthyClient:
+class HealthyClient(BlockingBegin):
     """Scripted worker client that always answers."""
 
     def __init__(self, worker_id: int):
