@@ -38,7 +38,7 @@ def pec_history_attention(
     short_ids = batch.short_origins if side == "o" else batch.short_destinations
     model.eval()
     with no_grad():
-        _, cities = hsgc.node_embeddings()
+        _, cities = hsgc.node_embeddings(users=())
         long_seq = cities[long_ids]
         short_seq = cities[short_ids]
         length = long_seq.shape[1]
@@ -75,7 +75,7 @@ def city_embedding_neighbors(
     hsgc = model.origin_hsgc if side == "o" else model.dest_hsgc
     model.eval()
     with no_grad():
-        _, cities = hsgc.node_embeddings()
+        _, cities = hsgc.node_embeddings(users=())
     model.train()
     table = np.asarray(cities.data)
     # Centre first: ReLU outputs share a large positive common direction

@@ -51,6 +51,9 @@ class ServingCluster:
         self.config = config or ClusterConfig()
         self.processes: dict[int, multiprocessing.process.BaseProcess] = {}
         self.handles: list[WorkerHandle] = []
+        #: worker_id -> client of the process now in that slot, spliced
+        #: into the gateway or not: whom ``shutdown`` addresses.
+        self._clients: dict[int, WorkerClient] = {}
         self.gateway: Gateway | None = None
         self.server: GatewayServer | None = None
         self.supervisor = None
@@ -103,6 +106,7 @@ class ServingCluster:
                 for worker_id in range(config.num_workers)
             ]
             for handle in self.handles:
+                self._clients[handle.worker_id] = handle.client
                 self._await_ready(handle.client, handle.name)
             self.gateway = Gateway(self.handles, config)
             self.server = GatewayServer(self.gateway, config.host)
@@ -233,6 +237,7 @@ class ServingCluster:
             self.config.host, message["port"],
             timeout_s=self.config.request_timeout_s,
         )
+        self._clients[worker_id] = client
         self._await_ready(client, f"w{worker_id}")
         return client
 
@@ -296,12 +301,12 @@ class ServingCluster:
             self.server.stop()
             self.server = None
         self.gateway = None
-        for handle in self.handles:
+        for client in self._clients.values():
             try:
-                handle.client.shutdown()
+                client.shutdown()
             except Exception:
                 pass  # a dead worker is already where we want it
-        self.handles = []
+        self.handles, self._clients = [], {}
         deadline = time.monotonic() + timeout_s
         for process in self.processes.values():
             process.join(timeout=max(0.1, deadline - time.monotonic()))

@@ -33,6 +33,7 @@ replicas apart.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 
 from ..guard import GuardConfig
@@ -47,6 +48,25 @@ __all__ = ["WorkerRuntime", "worker_main"]
 #: Admission reasons that mean "this replica cannot take traffic now" —
 #: the gateway should retry, not accept a degraded answer.
 _UNROUTABLE = ("admission:draining", "admission:not_ready")
+
+
+def _pin_blas_threads() -> bool:
+    """One BLAS thread for this process, whatever the start method or
+    environment: finds the OpenBLAS numpy has loaded in
+    ``/proc/self/maps`` and tells it through ``ctypes``.  Two worker
+    pools on a 2-CPU host stall each other (p99 ~ 100 ms) otherwise.
+    False when the library or the symbol is not there."""
+    try:
+        with open("/proc/self/maps") as maps:
+            path = next(
+                line.split()[-1] for line in maps if "openblas" in line
+            )
+        pin = ctypes.CDLL(path).scipy_openblas_set_num_threads64_
+        pin.argtypes, pin.restype = [ctypes.c_int], None
+        pin(1)
+    except (OSError, StopIteration, AttributeError):
+        return False
+    return True
 
 
 def _build_recommender(config: ClusterConfig, worker_id: int):
@@ -253,9 +273,12 @@ def worker_main(config: ClusterConfig, worker_id: int, ready_queue) -> None:
     on success or ``{"worker_id", "error"}`` if construction failed — the
     manager turns the latter into a startup failure instead of hanging.
     """
+    pinned = _pin_blas_threads()
     try:
         runtime = WorkerRuntime(config, worker_id)
         set_registry(runtime.registry)
+        if not pinned:
+            runtime.registry.counter("cluster.blas_pin_missing").inc()
         if (
             config.crash_after_requests is not None
             and worker_id == config.crash_worker_id

@@ -17,9 +17,11 @@ class whose parameters *are* arrays, and scoring is that instance's
 score is **bit-identical** to ``theta * p_o + (1 - theta) * p_d``
 computed through :meth:`repro.core.odnet.ODNET.predict` by construction
 — point-deduplication of a segment layout and a subclass's own branch
-wiring included — and the cached path (tables from
-:class:`repro.perf.InferenceSession`) is bit-identical to the uncached
-one (fresh ``embedding_tables()``); both claims are regression-tested.
+wiring included.  The cached path (all users' tables from
+:class:`repro.perf.InferenceSession`) agrees with the uncached one
+(``embedding_tables(users)`` for the batch's users only) to 1e-12, not
+bitwise: a GEMM over a batch's user rows does not round like the same
+rows inside the all-users GEMM.  Both claims are regression-tested.
 
 Weights view
 ------------
@@ -92,12 +94,13 @@ def fused_score_pairs(model, batch, tables=None) -> np.ndarray:
 
     ``model`` is the live model or a :class:`FrozenScoringState` of it.
     ``tables`` is the ``embedding_tables()`` result (Tensor or ndarray
-    pairs per side); ``None`` recomputes them — which is the *only*
-    difference between the cached and uncached serving paths, and the
-    tables are deterministic in the weights, hence bit-identical scores.
+    pairs per side); ``None`` propagates the batch's users only — which
+    is the *only* difference between the cached and uncached serving
+    paths (scores within 1e-12, see the module docstring).
     """
     if not isinstance(model, FrozenScoringState):
         if tables is None:
-            tables = model.embedding_tables()
+            users, batch = batch.by_distinct_user()
+            tables = model.embedding_tables(users)
         model = FrozenScoringState(frozen_view(model), model.theta)
     return model.score_pairs(batch, tables)

@@ -15,7 +15,8 @@ passed through a ReLU-activated linear layer W^k.
 
 The whole propagation is differentiable and vectorised: neighbourhoods are
 dense ``(num_nodes, max_neighbors)`` gathers from
-:class:`~repro.graph.NeighborTable`.
+:class:`~repro.graph.NeighborTable`.  It is mini-batched on the user
+side, as Algorithm 1 is: callers name the users they read.
 """
 
 from __future__ import annotations
@@ -80,21 +81,34 @@ class HSGComponent(Module):
             self._city_spatial = None
 
     # ------------------------------------------------------------------
-    def node_embeddings(self) -> tuple[Tensor, Tensor]:
-        """Run Algorithm 1; returns the (users, cities) embedding tables."""
+    def node_embeddings(self, users=None) -> tuple[Tensor, Tensor]:
+        """Run Algorithm 1; returns the (users, cities) embedding tables.
+
+        ``users`` narrows the user side to those ids (any order, repeats
+        allowed): a compact ``(len(users), d)`` table aligned with
+        ``users``, beside the full city table.  Exact, not sampled: a
+        user's update reads its own row and its neighbour *cities*, a
+        city's update reads cities only.  ``None`` means every user.
+        """
         user_emb = self.user_embedding.weight
         city_emb = self.city_embedding.weight
+        rows = slice(None)
+        if users is not None:
+            rows = np.asarray(users, dtype=np.intp)
+            user_emb = user_emb[rows]
         if self.depth == 0:
             return user_emb, city_emb
 
         table = self.neighbor_table
+        user_neighbors = table.user_neighbors[rows]
+        user_mask = table.user_mask[rows]
         for layer in self.step_layers:
             # --- users attend over their neighbour cities (Eq. 1, top) ---
-            user_nbr = city_emb[table.user_neighbors]            # (U, M, d)
+            user_nbr = city_emb[user_neighbors]                  # (U, M, d)
             user_logits = F.relu(
                 (user_emb.expand_dims(1) * user_nbr).sum(axis=-1)
             )                                                     # (U, M)
-            user_alpha = F.masked_softmax(user_logits, table.user_mask)
+            user_alpha = F.masked_softmax(user_logits, user_mask)
             user_agg = (user_nbr * user_alpha.expand_dims(-1)).sum(axis=1)
 
             # --- cities attend with spatial weights (Eq. 1, bottom) -------
@@ -111,5 +125,4 @@ class HSGComponent(Module):
             city_emb = F.relu(layer(concat([city_emb, city_agg], axis=-1)))
         return user_emb, city_emb
 
-    def forward(self) -> tuple[Tensor, Tensor]:
-        return self.node_embeddings()
+    forward = node_embeddings

@@ -96,8 +96,8 @@ class IntentAwareODNET(ODNET):
     def intent_distribution(self, batch: ODBatch) -> np.ndarray:
         """Per-sample latent intent probabilities ``(B, num_intents)``."""
         with self.eval_mode(), no_grad():
-            q_d, rows = self._branch(batch, "d")
-            intent = self.intent_head(q_d).softmax(axis=-1)
+            self._joint_query(batch)
+            intent, rows = self._intent
         return intent.data if rows is None else intent.data[rows]
 
     def dominant_intent(self, batch: ODBatch) -> np.ndarray:

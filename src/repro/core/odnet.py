@@ -109,39 +109,32 @@ class ODNET(NeuralRanker):
         """Current value of the loss/serving trade-off theta."""
         return float(F.sigmoid(as_array(self.theta_logit)))
 
-    def _branch(
-        self,
-        batch: ODBatch,
-        side: str,
-        tables: dict[str, tuple[Tensor, Tensor]] | None = None,
-    ) -> tuple[Tensor, np.ndarray | None]:
-        """q^O (side='o') or q^D (side='d') of a batch, as the column
-        block ``(q, rows)`` of :meth:`PreferenceExtraction.aware_block`.
-
-        ``tables`` optionally supplies precomputed HSGC node-embedding
-        tables per side (the serving fast path); without it the full
-        Algorithm 1 propagation runs.
-        """
-        if side == "o":
-            hsgc, pec = self.origin_hsgc, self.origin_pec
-        else:
-            hsgc, pec = self.dest_hsgc, self.dest_pec
-        if tables is not None:
-            users, cities = tables[side]
-        else:
-            users, cities = hsgc.node_embeddings()
-        return pec.aware_block(users, cities, batch, side)
+    def _node_tables(self, users=None) -> dict[str, tuple[Tensor, Tensor]]:
+        """Algorithm 1 per aware side, for ``users`` (``None``: all)."""
+        return {
+            "o": self.origin_hsgc.node_embeddings(users),
+            "d": self.dest_hsgc.node_embeddings(users),
+        }
 
     def _joint_query(
         self,
         batch: ODBatch,
         tables: dict[str, tuple[Tensor, Tensor]] | None = None,
     ) -> list:
-        """q⊕ = concat(q^O, q^D, pair) as its column blocks: the joint
-        head projects each side on its distinct rows only."""
+        """q⊕ = concat(q^O, q^D, pair) as its column blocks ``(q, rows)``
+        (:meth:`PreferenceExtraction.aware_block`): the joint head
+        projects each side on its distinct rows only.
+
+        ``tables`` supplies precomputed node-embedding tables indexed by
+        user id (the serving fast path); without it Algorithm 1 runs for
+        exactly the users this batch gathers, in train and in eval.
+        """
+        if tables is None:
+            users, batch = batch.by_distinct_user()
+            tables = self._node_tables(users)
         return [
-            self._branch(batch, "o", tables=tables),
-            self._branch(batch, "d", tables=tables),
+            self.origin_pec.aware_block(*tables["o"], batch, "o"),
+            self.dest_pec.aware_block(*tables["d"], batch, "d"),
             (batch.pair_features, None),
         ]
 
@@ -155,32 +148,35 @@ class ODNET(NeuralRanker):
         return p_o, p_d
 
     # ------------------------------------------------------------------
-    def embedding_tables(self) -> dict[str, tuple[Tensor, Tensor]]:
+    def embedding_tables(
+        self, users=None
+    ) -> dict[str, tuple[Tensor, Tensor]]:
         """Materialise both HSGC propagations once (frozen-graph serving).
 
         Runs Algorithm 1 for the origin-aware and destination-aware
         components under ``no_grad`` and returns ``{"o": (users, cities),
         "d": (users, cities)}`` — the tables :meth:`score_pairs` gathers
-        from when passed back via ``tables``.  At inference time the
+        from when passed back via ``tables``; ``users`` narrows the user
+        tables to those ids' rows (``None``: all).  At inference time the
         parameters are frozen, so the tables stay valid until the next
         weight mutation (tracked by :attr:`Module.param_version`);
         :class:`repro.perf.InferenceSession` owns that invalidation.
         """
         with no_grad():
-            return {
-                "o": self.origin_hsgc.node_embeddings(),
-                "d": self.dest_hsgc.node_embeddings(),
-            }
+            return self._node_tables(users)
 
-    def frozen_state(self, version: int | None = None) -> FrozenScoringState:
+    def frozen_state(
+        self, version: int | None = None, users=None
+    ) -> FrozenScoringState:
         """Capture what serving reads — this model as a
         :func:`~repro.core.fused.frozen_view` over the arrays bound right
-        now, theta, plus freshly built tables — as one immutable object
-        that stays valid while the live model trains or reloads (see
-        :mod:`repro.core.fused`).  ``version`` tags it with the caller's
-        ``param_version`` reading."""
+        now, theta, plus freshly built tables (of ``users``; ``None``:
+        all) — as one immutable object that stays valid while the live
+        model trains or reloads (see :mod:`repro.core.fused`).
+        ``version`` tags it with the caller's ``param_version`` reading."""
         return FrozenScoringState(
-            frozen_view(self), self.theta, self.embedding_tables(), version
+            frozen_view(self), self.theta, self.embedding_tables(users),
+            version,
         )
 
     def freeze(self):
@@ -212,9 +208,10 @@ class ODNET(NeuralRanker):
         on a frozen view of this model (:mod:`repro.core.fused`): plain
         arrays in, plain arrays out, no autograd graph at serving time.
         With ``tables`` (from :meth:`embedding_tables`) the HSGC
-        propagation is skipped too; the scores are bit-identical to the
-        uncached path, and to the Eq. 11 blend of the Tensor
-        :meth:`predict` — the same code computed both.
+        propagation is skipped too.  Without, it runs for the batch's
+        users only, and the scores are bit-identical to the Eq. 11 blend
+        of the Tensor :meth:`predict` — the same code computed both — and
+        within 1e-12 of the cached ones (see :mod:`repro.core.fused`).
         """
         return fused_score_pairs(self, batch, tables=tables)
 

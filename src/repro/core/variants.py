@@ -71,7 +71,8 @@ class SingleTaskNetwork(NeuralRanker):
         )
 
     def probability(self, batch: ODBatch) -> Tensor:
-        users, cities = self.hsgc.node_embeddings()
+        users, batch = batch.by_distinct_user()
+        users, cities = self.hsgc.node_embeddings(users)
         query, rows = self.pec.aware_block(users, cities, batch, self.side)
         p = self.tower(query).squeeze(-1)
         return p if rows is None else p[rows]

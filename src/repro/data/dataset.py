@@ -24,7 +24,7 @@ points are pinned and never evicted.  Evictions are counted on
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -116,6 +116,13 @@ class ODBatch:
                     self.candidate_origin, self.xst_o, layout)
         return (self.long_destinations, self.short_destinations,
                 self.candidate_destination, self.xst_d, layout)
+
+    def by_distinct_user(self) -> tuple[np.ndarray, "ODBatch"]:
+        """``(users, batch)``: the distinct user ids, ascending, and this
+        batch with ``user_ids`` re-addressed into them — how a model reads
+        a compact ``(len(users), d)`` user table in place of a full one."""
+        users, inverse = np.unique(self.user_ids, return_inverse=True)
+        return users, replace(self, user_ids=inverse)
 
 
 @dataclass
@@ -790,7 +797,7 @@ class ODDataset:
         Popularity-weighted within the pattern for the same reason as
         :meth:`_hard_origin`.
         """
-        patterns = list(self.source.world.cities[true_dest].patterns)
+        patterns = sorted(self.source.world.cities[true_dest].patterns)
         if not patterns:
             return self._random_city(true_dest, rng)
         members = self.source.world.cities_with_pattern(

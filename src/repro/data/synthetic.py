@@ -428,7 +428,7 @@ def _generate_clicks(
             origin = int(rng.choice(pool)) if pool else target.origin
         elif r < c3:
             origin = target.origin
-            patterns = list(world.cities[target.destination].patterns)
+            patterns = sorted(world.cities[target.destination].patterns)
             members = world.cities_with_pattern(patterns[int(rng.integers(len(patterns)))])
             members = members[(members != origin)]
             destination = (

@@ -103,9 +103,10 @@ class InferenceSession:
     >>> session = InferenceSession(model)        # doctest: +SKIP
     >>> session.score_pairs(batch)               # doctest: +SKIP
 
-    Scores are bit-identical to ``model.score_pairs(batch)``: the cached
-    tables are the exact tensors the uncached path would recompute, and
-    every downstream op (gathers, PEC, MMoE, Eq. 11 blend) is shared.
+    Scores are bit-identical to ``model.score_pairs(batch, tables=
+    model.embedding_tables())`` — every downstream op (gathers, PEC,
+    MMoE, Eq. 11 blend) is shared — and within 1e-12 of the table-less
+    ``model.score_pairs(batch)``, which propagates the batch's users only.
     """
 
     def __init__(self, model):
@@ -115,6 +116,11 @@ class InferenceSession:
         self.misses = 0
         self.swaps = 0
         self._params = tuple(model.parameters())
+        # The only parameters a ``user``-scope delta may move.
+        self._user_tables = {
+            id(param) for name, param in model.named_parameters()
+            if name.endswith("hsgc.user_embedding.weight")
+        }
         self._state = None
         # Serialises the writers of ``_state`` (swap, invalidate, a
         # reader's rebuild).  A read that finds a fresh state never
@@ -169,6 +175,20 @@ class InferenceSession:
         """Return fresh-or-cached embedding tables for the current weights."""
         return self._lookup().tables
 
+    def _delta_users(self, before, touched_users):
+        """``touched_users`` as distinct ids when the weights now bound
+        differ from ``before`` (one array per parameter) in those rows
+        of the two HSGC user tables and nowhere else; otherwise None."""
+        users = np.unique(np.asarray(touched_users, dtype=np.intp))
+        for was, param in zip(before, self._params):
+            if id(param) in self._user_tables:
+                moved = np.flatnonzero((was != param.data).any(axis=1))
+                if not np.isin(moved, users).all():
+                    return None
+            elif not np.array_equal(was, param.data):
+                return None
+        return users
+
     def swap(self, state: dict, touched_users=None) -> float:
         """Install a published weight snapshot beside live reads (hot swap).
 
@@ -179,24 +199,40 @@ class InferenceSession:
         Concurrent scorers keep reading the *old* state until then and
         the *new* one after, never a blend.
 
-        ``touched_users`` is accepted for API parity with
-        :meth:`ShardedInferenceSession.swap` (the dense session always
-        rebuilds its full tables).  Returns the exclusive
+        With ``touched_users`` (a ``user``-scope update's changed ids)
+        only their rows are rebuilt, into a copy of the published user
+        tables beside the published city tables.  Verified, not trusted:
+        taken only when the published state is fresh and ``state`` moves
+        nothing but those rows of the two HSGC user tables; anything else
+        is the full rebuild.  Returns the exclusive
         pause in milliseconds — here just the publish step (also
         observed on ``perf.swap_pause_ms``; the build beside reads is
         ``perf.swap_build_ms``).
         """
         with self._writer:
             start = time.perf_counter()
+            old, before, users = self._state, None, None
+            if (touched_users is not None and old is not None
+                    and old.version == self._live_version()):
+                before = [param.data for param in self._params]
             self.model.load_state_dict(state)
-            frozen = self.model.frozen_state(self._live_version())
+            if before is not None:
+                users = self._delta_users(before, touched_users)
+            frozen = self.model.frozen_state(self._live_version(), users)
+            if users is not None:
+                tables = {}
+                for side, (rows, _) in frozen.tables.items():
+                    table = as_array(old.tables[side][0]).copy()
+                    table[users] = as_array(rows)
+                    tables[side] = (table, old.tables[side][1])
+                frozen = dataclasses.replace(frozen, tables=tables)
             built = time.perf_counter()
             self._state = frozen
             return _record_swap(self, start, built)
 
     # ------------------------------------------------------------------
     def score_pairs(self, batch) -> np.ndarray:
-        """Eq. 11 scores from the published frozen state (bit-identical)."""
+        """Eq. 11 scores from the published frozen state."""
         return self._lookup().score_pairs(batch)
 
 
@@ -305,10 +341,7 @@ class ShardedInferenceSession:
 
     def score_pairs(self, batch) -> np.ndarray:
         """Eq. 11 scores with user rows gathered from the sharded store."""
-        unique, inverse = np.unique(batch.user_ids, return_inverse=True)
-        compact = dataclasses.replace(
-            batch, user_ids=inverse.reshape(np.shape(batch.user_ids))
-        )
+        unique, compact = batch.by_distinct_user()
         # The lock covers only the gather: rows are copied out of the
         # store and everything else is held by reference.
         with self._swap_lock.read():
@@ -334,23 +367,23 @@ class ShardedInferenceSession:
     def refresh_users(self, user_ids: np.ndarray) -> None:
         """Re-pull ``user_ids``' rows from the model's current tables.
 
-        Recomputes ``embedding_tables()`` once (the propagation is
-        global) but re-quantises — and therefore invalidates — only the
-        shards owning ``user_ids``; every other shard's frozen rows stay
-        exactly as they were.
+        Propagates those users only (``embedding_tables(user_ids)``)
+        and re-quantises — and therefore invalidates — only the shards
+        owning them; every other shard's frozen rows stay exactly as
+        they were.
         """
         user_ids = np.asarray(user_ids)
-        tables = self.model.embedding_tables()
+        tables = self.model.embedding_tables(user_ids)
         for side in ("o", "d"):
-            fresh = as_array(tables[side][0])[user_ids]
-            self._stores[side].write_rows(user_ids, fresh)
+            self._stores[side].write_rows(user_ids, as_array(tables[side][0]))
 
     def swap(self, state: dict, touched_users=None) -> float:
         """Install a published weight snapshot beside live reads (hot swap).
 
         The sharded analogue of :meth:`InferenceSession.swap`: loads
         ``state`` into the model, captures the new weights and builds
-        the tables while reads continue on the old rows, then — the only
+        the tables (of ``touched_users`` only, when given) while reads
+        continue on the old rows, then — the only
         part exclusive against row gathers, because memmap rows are
         written in place — rebinds weights and city tables and re-spills
         user rows.  With ``touched_users`` (an embedding-only update's
@@ -366,14 +399,15 @@ class ShardedInferenceSession:
         with self._writer:
             start = time.perf_counter()
             self.model.load_state_dict(state)
-            frozen = self.model.frozen_state()
-            if touched_users is None:
+            user_ids = None
+            if touched_users is not None:
+                user_ids = np.unique(np.asarray(touched_users, np.intp))
+            frozen = self.model.frozen_state(users=user_ids)
+            if user_ids is None:
                 user_ids = np.arange(self.num_users)
-            else:
-                user_ids = np.unique(np.asarray(touched_users))
             fresh = {
                 side: (
-                    as_array(frozen.tables[side][0])[user_ids],
+                    as_array(frozen.tables[side][0]),
                     as_array(frozen.tables[side][1]).astype(np.float64),
                 )
                 for side in ("o", "d")

@@ -10,6 +10,8 @@ run in file order: later tests publish newer versions.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -62,8 +64,15 @@ def cluster(store):
         supervise=False,
         snapshot_dir=str(store.directory),
     )
-    with ServingCluster(config) as running:
+    running = ServingCluster(config).start()
+    try:
         yield running
+    finally:
+        # The last test leaves a respawned worker the gateway never saw:
+        # shutdown must still reach it, not wait out its 10 s join.
+        start = time.monotonic()
+        running.shutdown()
+        assert time.monotonic() - start < 3.0
 
 
 def _publish_perturbed(store, replica_model, scale: float):

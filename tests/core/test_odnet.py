@@ -271,6 +271,144 @@ class TestSideLayout:
 
 
 # ----------------------------------------------------------------------
+# A table-less forward propagates the users it gathers, and nothing moves
+# ----------------------------------------------------------------------
+def _gradients(model):
+    return {
+        name: None if p.grad is None else np.array(p.grad)
+        for name, p in model.named_parameters()
+    }
+
+
+def _num_users(model):
+    return next(
+        p for name, p in model.named_parameters()
+        if name.endswith("user_embedding.weight")
+    ).shape[0]
+
+
+def _assert_one_tree(model, on_demand, full_tables, batch):
+    """``on_demand()`` and ``full_tables()`` are the same loss on the
+    same tape: the first through the model's own table-less forward, the
+    second gathering from all-users tables built with the tape on."""
+    results = []
+    for loss_of in (on_demand, full_tables):
+        model.zero_grad()
+        loss = loss_of()
+        loss.backward()
+        results.append((loss.item(), _gradients(model)))
+    (loss_a, grads_a), (loss_b, grads_b) = results
+    assert loss_a == pytest.approx(loss_b, rel=0, abs=1e-12)
+    assert grads_a.keys() == grads_b.keys()
+    absent = np.setdiff1d(
+        np.arange(_num_users(model)), np.unique(batch.user_ids)
+    )
+    assert absent.size, "the batch must leave some users out"
+    for name, grad in grads_a.items():
+        assert grad is not None and grads_b[name] is not None, name
+        np.testing.assert_allclose(
+            grad, grads_b[name], rtol=0, atol=1e-12, err_msg=name
+        )
+        if name.endswith("user_embedding.weight"):
+            # Users the batch never gathers: exactly zero, both ways.
+            np.testing.assert_array_equal(grad[absent], 0.0)
+            np.testing.assert_array_equal(grads_b[name][absent], 0.0)
+            assert np.abs(grad).sum() > 0
+
+
+class TestRowsOnDemandIsTheFullTableTape:
+    @pytest.mark.parametrize("name", ["ODNET", "ODNET-G", "ODNET-Intent"])
+    def test_joint_models(self, od_dataset, batch, name, monkeypatch):
+        if name == "ODNET-G":
+            model = build_odnet(od_dataset, TINY_MODEL_CONFIG, "ODNET-G")
+        else:
+            model = MODELS[name](od_dataset)
+        forward = model.forward
+
+        def full_tables():
+            tables = {
+                "o": model.origin_hsgc.node_embeddings(),
+                "d": model.dest_hsgc.node_embeddings(),
+            }
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    model, "forward", lambda b: forward(b, tables=tables)
+                )
+                return model.loss(batch)
+
+        _assert_one_tree(model, lambda: model.loss(batch), full_tables, batch)
+
+    @pytest.mark.parametrize("side", ["o", "d"])
+    def test_single_task_tower(self, od_dataset, batch, side):
+        from repro.tensor import functional as F
+
+        stl = build_stl(od_dataset, TINY_MODEL_CONFIG, "STL+G")
+        net = stl.origin_net if side == "o" else stl.dest_net
+
+        def full_tables():
+            users, cities = net.hsgc.node_embeddings()
+            query, rows = net.pec.aware_block(users, cities, batch, side)
+            assert rows is None  # a training batch: every row distinct
+            labels = batch.label_o if side == "o" else batch.label_d
+            return F.binary_cross_entropy(
+                net.tower(query).squeeze(-1), labels
+            )
+
+        _assert_one_tree(net, lambda: net.loss(batch), full_tables, batch)
+
+    def test_serving_batch_reads_the_compact_table(self, od_dataset):
+        """Several users, repeated and out of order, with the segment
+        layout: scores from on-demand rows equal the all-users tables'."""
+        model = MODELS["ODNET"](od_dataset)
+        c, b, a = od_dataset.source.test_points[:3]
+        batch = od_dataset.batch_for_requests([
+            (a, _pairs([1, 2], [3, 4, 5])), (b, _pairs([2, 6], [1, 3])),
+            (c, [ODPair(4, 9)]), (a, [ODPair(7, 8)]),
+        ])
+        assert np.any(np.diff(batch.user_ids) < 0)
+        assert len(np.unique(batch.user_ids)) == 3
+        np.testing.assert_allclose(
+            model.score_pairs(batch),
+            model.score_pairs(batch, tables=model.embedding_tables()),
+            rtol=0, atol=1e-12,
+        )
+
+    def test_by_distinct_user(self, batch):
+        users, compact = batch.by_distinct_user()
+        assert np.all(np.diff(users) > 0)
+        np.testing.assert_array_equal(users[compact.user_ids], batch.user_ids)
+        assert compact.long_origins is batch.long_origins
+
+
+class TestFitLossesArePinned:
+    """Per-epoch losses of ``Trainer.fit`` on the session dataset, pinned
+    from the commit before rows-on-demand (with the sorted-patterns fix,
+    without which the world depends on ``PYTHONHASHSEED``).  Not
+    hex-identical by contract: the HSGC GEMMs now run over a batch's
+    users, not all of them, and round differently — measured <= 1 ulp."""
+
+    PINNED = {
+        "ODNET": ["0x1.4d91462e6f00fp-1", "0x1.adcb264bce829p-2",
+                  "0x1.2d21d289df7c2p-2"],
+        "STL+G": ["0x1.40be0b54dbbe1p-1", "0x1.cfacd8e685c32p-2",
+                  "0x1.72090cc635b71p-2"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_three_epochs(self, od_dataset, name):
+        from repro.train import TrainConfig, Trainer
+
+        history = Trainer(TrainConfig(epochs=3, seed=0)).fit(
+            MODELS[name](od_dataset), od_dataset
+        )
+        np.testing.assert_allclose(
+            history.epoch_losses,
+            [float.fromhex(x) for x in self.PINNED[name]],
+            rtol=1e-9, atol=0,
+        )
+
+
+# ----------------------------------------------------------------------
 # What must not move: parameter names and shapes
 # ----------------------------------------------------------------------
 #: published by the commit before the block-input head (PR 15) from the

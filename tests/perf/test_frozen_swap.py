@@ -64,10 +64,10 @@ class TestReadsBesideTheBuild:
         entered, release = threading.Event(), threading.Event()
         build = session.model.embedding_tables
 
-        def parked_build():
+        def parked_build(users=None):
             entered.set()
             assert release.wait(_TIMEOUT_S)
-            return build()
+            return build(users)
 
         monkeypatch.setattr(session.model, "embedding_tables", parked_build)
         swapper = threading.Thread(
@@ -103,9 +103,9 @@ class TestReadsBesideTheBuild:
         builds = []
         build = session.model.embedding_tables
 
-        def counted_build():
+        def counted_build(users=None):
             builds.append(threading.get_ident())
-            return build()
+            return build(users)
 
         monkeypatch.setattr(session.model, "embedding_tables", counted_build)
         swaps = 30

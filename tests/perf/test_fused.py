@@ -1,11 +1,13 @@
-"""Bit-exactness of the fused numpy scoring kernel.
+"""Bit-exactness of the array scoring path.
 
-``fused_score_pairs`` re-implements the frozen-table inference path as
-one flat numpy pass (no Tensor graph, no autograd tape).  Its contract
-is *exact* equality — every op mirrors the Tensor implementation down to
-summation order, so cached serving scores are bit-identical to what the
-training-path ``predict`` blend produces.  A drifting mirror would make
-cache warmup silently change ranking order; these tests pin it.
+``fused_score_pairs`` runs the modules' own ``forward`` on a frozen view
+of the model (no Tensor graph, no autograd tape).  Fed the same HSGC
+rows, the array path and the Tensor ``predict`` blend are *exactly*
+equal — without tables both propagate the batch's users only, with
+tables both gather from the same all-users tables.  A drifting mirror
+would make cache warmup silently change ranking order; these tests pin
+it.  All-users tables against on-demand rows is a separate, looser
+case: see :class:`TestFrozenTables`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from repro.tensor import no_grad
 from tests.conftest import TINY_MODEL_CONFIG
 
 
-def _tensor_blend(model, batch):
+def _tensor_blend(model, batch, tables=None):
     """The reference: Tensor-path Eq. 11 serving blend."""
     with model.eval_mode(), no_grad():
-        p_o, p_d = model.forward(batch)
+        p_o, p_d = model.forward(batch, tables=tables)
         theta = model.theta
         return theta * p_o.data + (1.0 - theta) * p_d.data
 
@@ -81,15 +83,31 @@ class TestFusedMirrorsTensorPath:
             fused_score_pairs(model, batch), _tensor_blend(model, batch)
         )
 
-
-class TestFrozenTables:
-    def test_explicit_tables_match_implicit(self, trained_odnet, batches):
-        batch = batches["serving"]
+    @pytest.mark.parametrize("layout", ["serving", "training"])
+    def test_trained_model_bit_exact_on_full_tables(
+        self, trained_odnet, batches, layout
+    ):
+        batch = batches[layout]
         tables = trained_odnet.embedding_tables()
         np.testing.assert_array_equal(
             fused_score_pairs(trained_odnet, batch, tables=tables),
-            fused_score_pairs(trained_odnet, batch),
+            _tensor_blend(trained_odnet, batch, tables=tables),
         )
+
+
+class TestFrozenTables:
+    def test_explicit_tables_match_implicit(self, trained_odnet, batches):
+        """Cached all-users tables vs rows propagated for the batch's
+        users: the same Algorithm 1 on the same inputs, but a GEMM over a
+        batch's user rows does not round like the same rows inside the
+        all-users GEMM — equal to 1e-12, not bitwise."""
+        tables = trained_odnet.embedding_tables()
+        for batch in batches.values():
+            np.testing.assert_allclose(
+                fused_score_pairs(trained_odnet, batch, tables=tables),
+                fused_score_pairs(trained_odnet, batch),
+                rtol=0, atol=1e-12,
+            )
 
     def test_output_shape_and_dtype(self, trained_odnet, batches):
         scores = fused_score_pairs(trained_odnet, batches["serving"])

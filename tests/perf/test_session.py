@@ -43,19 +43,34 @@ class TestProtocol:
             InferenceSession(object())
 
 
+def _fresh_table_scores(model, batch):
+    """Scores from all-users tables built right now — what a session
+    that rebuilt must serve, bit for bit.  (``model.score_pairs(batch)``
+    alone propagates the batch's users only: same rows to 1e-12, not
+    bitwise, because the GEMM row count differs.)"""
+    return np.asarray(
+        model.score_pairs(batch, tables=model.embedding_tables())
+    )
+
+
 class TestBitIdentity:
     def test_cached_scores_bit_identical(self, model, batch):
-        uncached = np.asarray(model.score_pairs(batch))
+        fresh = _fresh_table_scores(model, batch)
         session = model.freeze()
         for _ in range(2):  # miss then hit — both must match exactly
             cached = np.asarray(session.score_pairs(batch))
-            np.testing.assert_array_equal(uncached, cached)
+            np.testing.assert_array_equal(fresh, cached)
 
     def test_trained_model_bit_identical(self, trained_odnet, batch):
         session = InferenceSession(trained_odnet)
+        cached = np.asarray(session.score_pairs(batch))
         np.testing.assert_array_equal(
-            np.asarray(trained_odnet.score_pairs(batch)),
-            np.asarray(session.score_pairs(batch)),
+            _fresh_table_scores(trained_odnet, batch), cached
+        )
+        # On-demand rows of the batch's users: equal, not bit-equal.
+        np.testing.assert_allclose(
+            np.asarray(trained_odnet.score_pairs(batch)), cached,
+            rtol=0, atol=1e-12,
         )
 
 
@@ -100,7 +115,7 @@ class TestInvalidation:
         assert session.misses == 2  # recomputed, not served stale
         assert not np.array_equal(before, after)
         np.testing.assert_array_equal(
-            np.asarray(model.score_pairs(batch)), after
+            _fresh_table_scores(model, batch), after
         )
 
     def test_trainer_fit_invalidate(self, od_dataset, model, batch):
@@ -110,7 +125,7 @@ class TestInvalidation:
         after = np.asarray(session.score_pairs(batch))
         assert session.misses == 2
         np.testing.assert_array_equal(
-            np.asarray(model.score_pairs(batch)), after
+            _fresh_table_scores(model, batch), after
         )
 
     def test_ps_fit_checkpoint_resume_invalidates(
@@ -142,7 +157,7 @@ class TestInvalidation:
         resumed = np.asarray(session.score_pairs(batch))
         assert session.misses == 3
         np.testing.assert_array_equal(
-            np.asarray(model.score_pairs(batch)), resumed
+            _fresh_table_scores(model, batch), resumed
         )
 
     def test_checkpoint_resume_invalidates(
@@ -151,7 +166,7 @@ class TestInvalidation:
         """Loading a checkpoint must not serve embeddings of the old
         weights — the load_state_dict path bumps every parameter."""
         path = save_checkpoint(model, tmp_path / "ckpt.npz")
-        initial = np.asarray(model.score_pairs(batch))
+        initial = _fresh_table_scores(model, batch)
 
         Trainer(TrainConfig(epochs=1, seed=0)).fit(model, od_dataset)
         session = model.freeze()
