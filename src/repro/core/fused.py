@@ -43,7 +43,8 @@ import numpy as np
 from ..nn import Module, Parameter
 from ..tensor import as_array
 
-__all__ = ["FrozenScoringState", "frozen_view", "fused_score_pairs"]
+__all__ = ["FrozenScoringState", "PointMemo", "frozen_view",
+           "fused_score_pairs"]
 
 
 def frozen_view(value):
@@ -65,6 +66,15 @@ def frozen_view(value):
     return value
 
 
+class PointMemo(dict):
+    """One aware side's ``encoded-store row -> (stamp, [v_L, v_S])``: PEC's
+    output for the point written there under that stamp.  One entry per
+    row (the store's cap bounds it); ``get`` / set under the GIL on values
+    never mutated, so no lock — a lost count costs a diagnostic only."""
+
+    hits = misses = 0
+
+
 @dataclasses.dataclass(frozen=True)
 class FrozenScoringState:
     """All that Eq. 11 scoring reads, as bound at capture time
@@ -73,15 +83,28 @@ class FrozenScoringState:
     they belong to (``None``: unknown or invalidated).  A session
     publishes one of these by reference; a reader that picked it up
     scores from it alone.
+
+    ``memo``: Eqs. 3-5 read a point's sequences, the city table and PEC's
+    weights, not the candidates, so one state encodes a point once.  Born
+    empty with the state and dead with it; consulted only when a keyed
+    batch is scored from the state's own ``tables``.  Not a response
+    cache: x_st, q^X, the joint head and the blend run on every call.
     """
 
     model: Module
     theta: float
     tables: dict | None = None
     version: int | None = None
+    memo: dict = dataclasses.field(
+        default_factory=lambda: {"o": PointMemo(), "d": PointMemo()},
+        compare=False, repr=False,
+    )
 
     def score_pairs(self, batch, tables=None) -> np.ndarray:
-        tables = tables or self.tables
+        if tables is None:
+            tables = self.tables
+            if batch.point_keys is not None:
+                batch = dataclasses.replace(batch, point_memo=self.memo)
         p_o, p_d = self.model.forward(batch, tables={
             side: tuple(as_array(table) for table in tables[side])
             for side in ("o", "d")

@@ -67,6 +67,25 @@ class PreferenceExtraction(Module):
         v_l = self.history_attention(v_s, encoded_long, mask=long_mask)
         return v_l, v_s
 
+    def _remembered(self, memo, batch, sequences) -> tuple:
+        """:meth:`forward` per point through one side's :class:`~repro.core.
+        fused.PointMemo`: a row remembered under the batch's stamp is read
+        back, the rest run in one call and are kept (stamp 0: not kept)."""
+        rows, stamps = (keys.tolist() for keys in batch.point_keys)
+        found = [memo.get(row) for row in rows]
+        missed = [at for at, (entry, stamp) in enumerate(zip(found, stamps))
+                  if entry is None or entry[0] != stamp]
+        memo.hits += len(found) - len(missed)
+        memo.misses += len(missed)
+        if missed:
+            both = np.stack(self(*sequences(batch.first_rows[missed])), 1)
+            for i, at in enumerate(missed):
+                found[at] = stamps[at], both[i]
+                if stamps[at]:
+                    memo[rows[at]] = found[at]
+        both = np.stack([entry[1] for entry in found])
+        return both[:, 0], both[:, 1]
+
     def build_query(
         self,
         v_l: Tensor,
@@ -111,6 +130,7 @@ class PreferenceExtraction(Module):
         candidate: np.ndarray,
         xst: np.ndarray,
         layout: tuple[np.ndarray, np.ndarray] | None = None,
+        memo=None,
     ) -> Tensor:
         """One aware side end to end: gathers + :meth:`forward` +
         :meth:`build_query` for an :class:`~repro.data.dataset.ODBatch`.
@@ -126,16 +146,19 @@ class PreferenceExtraction(Module):
         ``layout`` (``batch.side_layout[side]``) q^X itself is built on
         the distinct (point, candidate city) rows ``layout[0]`` only —
         ``q[layout[1]]`` is the per-row query; without it, on every row.
+        With a ``memo`` a point its state encoded before skips them too.
         """
         first, of_point = batch.first_rows, batch.point_rows
         keep = None if layout is None else layout[0]
         if keep is not None:  # the point of each distinct side row
             of_point = keep if first is None else of_point[keep]
 
-        v_l, v_s = self(
-            cities[_pick(long_ids, first)], _pick(batch.long_mask, first),
-            cities[_pick(short_ids, first)], _pick(batch.short_mask, first),
-        )
+        def sequences(at):
+            return (cities[_pick(long_ids, at)], _pick(batch.long_mask, at),
+                    cities[_pick(short_ids, at)], _pick(batch.short_mask, at))
+
+        v_l, v_s = (self(*sequences(first)) if memo is None
+                    else self._remembered(memo, batch, sequences))
         return self.build_query(
             _pick(v_l, of_point), _pick(v_s, of_point),
             users[_pick(batch.user_ids, keep)],
@@ -148,7 +171,8 @@ class PreferenceExtraction(Module):
         ``(q, rows)`` for :meth:`repro.nn.Linear.forward`: ``q`` on the
         side's distinct rows and their row map (``None``: every row)."""
         *inputs, layout = batch.side(side)
-        q = self.aware_query(users, cities, batch, *inputs, layout)
+        memo = None if batch.point_memo is None else batch.point_memo[side]
+        q = self.aware_query(users, cities, batch, *inputs, layout, memo)
         return q, None if layout is None else layout[1]
 
     @staticmethod

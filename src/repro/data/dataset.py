@@ -23,6 +23,7 @@ points are pinned and never evicted.  Evictions are counted on
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -103,6 +104,10 @@ class ODBatch:
     #: each side's few candidates, and everything per-side (x_st, q^O /
     #: q^D, their first MMoE projection) depends on that pair alone.
     side_layout: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
+    #: ``(rows, stamps)`` of the ``first_rows`` points in the encoded store:
+    #: the key of ``point_memo``, the scoring state's own (``core.fused``).
+    point_keys: tuple[np.ndarray, np.ndarray] | None = None
+    point_memo: dict | None = None
 
     def __len__(self) -> int:
         return len(self.user_ids)
@@ -146,6 +151,9 @@ class _EncodedPoint:
     current_city: int
 
 
+#: Stamps of _EncodedStore writes: unique across rows, stores and time.
+_STAMPS = itertools.count(1)
+
 #: (field name, dtype) of the per-point sequence matrices in _EncodedStore.
 _STORE_FIELDS = (
     ("long_origins", np.int64),
@@ -182,8 +190,8 @@ class _EncodedStore:
         self.max_adhoc = max_adhoc
         self.evictions = 0
         self._lengths = {"long": max_long, "short": max_short}
-        self._rows: dict[tuple[int, int], int] = {}
-        self._adhoc: OrderedDict[tuple[int, int], int] = OrderedDict()
+        self._rows: dict[tuple[int, int, int], int] = {}
+        self._adhoc: OrderedDict[tuple[int, int, int], int] = OrderedDict()
         self._free: list[int] = []
         self._size = 0
         self._capacity = 0
@@ -191,6 +199,7 @@ class _EncodedStore:
             length = self._lengths[name.split("_", 1)[0]]
             setattr(self, name, np.zeros((0, length), dtype=dtype))
         self.current_city = np.zeros(0, dtype=np.int64)
+        self.stamp = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -212,18 +221,19 @@ class _EncodedStore:
         for name, _ in _STORE_FIELDS:
             setattr(self, name, grown(getattr(self, name)))
         self.current_city = grown(self.current_city)
+        self.stamp = grown(self.stamp)
         self._capacity = new_capacity
 
-    def row(self, key: tuple[int, int]) -> int | None:
+    def row(self, key: tuple[int, int, int]) -> int | None:
         """The store row for ``key`` (LRU-touching ad-hoc rows), or None."""
         row = self._rows.get(key)
         if row is not None and key in self._adhoc:
             self._adhoc.move_to_end(key)
         return row
 
-    def put(self, key: tuple[int, int], encoded: _EncodedPoint,
+    def put(self, key: tuple[int, int, int], encoded: _EncodedPoint,
             pinned: bool) -> int:
-        """Write ``encoded`` under ``key``; returns the row it landed in."""
+        """Write ``encoded`` under ``key``, stamp 0 meanwhile; returns its row."""
         row = self._rows.get(key)
         if row is None:
             if (not pinned and self.max_adhoc is not None
@@ -243,9 +253,11 @@ class _EncodedStore:
                 self._adhoc[key] = row
         elif key in self._adhoc:
             self._adhoc.move_to_end(key)
+        self.stamp[row] = 0
         for name, _ in _STORE_FIELDS:
             getattr(self, name)[row] = getattr(encoded, name)
         self.current_city[row] = encoded.current_city
+        self.stamp[row] = next(_STAMPS)
         return row
 
 
@@ -292,7 +304,8 @@ class ODDataset:
         self._store = _EncodedStore(max_long, max_short,
                                     max_adhoc=max_cached_points)
         for point in source.train_points + source.test_points:
-            self._store.put(point.key, self._encode_point(point), pinned=True)
+            self._store.put(self._key(point), self._encode_point(point),
+                            pinned=True)
         self._xst_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
         # The x_st cache has the same unbounded-key shape as the encoded
         # store (keyed on (user, city, day, role)); its entries are tiny
@@ -347,6 +360,11 @@ class ODDataset:
         raise ValueError(f"unknown split {split!r}")
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _key(point: DecisionPoint) -> tuple[int, int, int]:
+        """(user, day, RTFS revision): an ingest makes it a new point."""
+        return (*point.key, point.history.revision)
+
     def _encode_point(self, point: DecisionPoint) -> _EncodedPoint:
         history = point.history
         bookings = history.bookings[-self.max_long:]
@@ -581,7 +599,7 @@ class ODDataset:
                 (s.label_d for s in samples), np.float64, n
             )
             store_rows = np.fromiter(
-                (self._store.row((s.user_id, s.day)) for s in samples),
+                (self._store.row((s.user_id, s.day, 0)) for s in samples),
                 np.int64, n,
             )
             cached = (store_rows, users, days, origins, dests,
@@ -622,7 +640,7 @@ class ODDataset:
         n = len(samples)
         store_rows = np.empty(n, dtype=np.int64)
         for i, sample in enumerate(samples):
-            row = self._store.row((sample.user_id, sample.day))
+            row = self._store.row((sample.user_id, sample.day, 0))
             if row is None:
                 raise KeyError(
                     f"decision point {(sample.user_id, sample.day)} is not "
@@ -648,7 +666,7 @@ class ODDataset:
         store row the point landed in.
         """
         before = self._store.evictions
-        row = self._store.put(point.key, self._encode_point(point),
+        row = self._store.put(self._key(point), self._encode_point(point),
                               pinned=False)
         evicted = self._store.evictions - before
         if evicted:
@@ -684,7 +702,7 @@ class ODDataset:
         target_d = np.empty(num_requests, dtype=np.int64)
         candidate_blocks: list[np.ndarray] = []
         for i, (point, candidates) in enumerate(requests):
-            row = self._store.row(point.key)
+            row = self._store.row(self._key(point))
             if row is None:
                 row = self.register_point(point)
             counts[i] = len(candidates)
@@ -713,14 +731,21 @@ class ODDataset:
         cand_d = pairs[:, 1]
         label_o = (cand_o == target_o[active][point_rows]).astype(np.float64)
         label_d = (cand_d == target_d[active][point_rows]).astype(np.float64)
-        return self._assemble_batch(
-            point_store_rows[active][point_rows],
+        rows = point_store_rows[active]
+        stamps = self._store.stamp[rows]
+        batch = self._assemble_batch(
+            rows[point_rows],
             point_users[active][point_rows],
             point_days[active][point_rows],
             cand_o, cand_d, label_o, label_d,
             point_rows=point_rows,
             first_rows=first_rows,
         )
+        # Seqlock read (the store has no lock): a stamp that read 0 or moved
+        # across the gather met a put — scored, but under no key (stamp 0).
+        intact = stamps == self._store.stamp[rows]
+        batch.point_keys = (rows, np.where(intact, stamps, 0))
+        return batch
 
     # ------------------------------------------------------------------
     def ranking_tasks(

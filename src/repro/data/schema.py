@@ -133,6 +133,7 @@ class UserHistory:
     current_city: int
     bookings: list[BookingEvent] = field(default_factory=list)
     clicks: list[ClickEvent] = field(default_factory=list)
+    revision: int = 0  #: the user's RTFS ingest count when read (0: offline)
 
     @property
     def origin_sequence(self) -> list[int]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -224,6 +225,7 @@ class MetricsRegistry:
     def __init__(self, default_labels: dict[str, str] | None = None) -> None:
         self._lock = threading.Lock()
         self._instruments: dict[tuple, object] = {}
+        self._scrapers: list[weakref.WeakMethod] = []
         self.default_labels = dict(default_labels or {})
 
     # ------------------------------------------------------------------
@@ -265,8 +267,17 @@ class MetricsRegistry:
             "histogram", name, labels, lambda: Histogram(name, buckets, labels)
         )
 
+    def on_scrape(self, publish) -> None:
+        """Call the bound method ``publish(registry)`` (held weakly) before
+        each read of the instruments: how a plain int counted off a hot
+        path becomes a gauge without costing that path."""
+        if self.enabled:
+            self._scrapers.append(weakref.WeakMethod(publish))
+
     # ------------------------------------------------------------------
     def _of_kind(self, kind: str) -> list:
+        for publish in filter(None, [ref() for ref in self._scrapers]):
+            publish(self)
         return [
             instrument
             for (k, _, _), instrument in sorted(

@@ -44,6 +44,8 @@ state, a whole version, until the writer publishes.
 Cache traffic is observable: ``perf.cache_hits`` / ``perf.cache_misses``
 counters through the active :mod:`repro.obs` registry, mirrored on the
 session itself as :attr:`hits` / :attr:`misses` (one per scored batch).
+The published state's PEC memo counts in plain ints off the request path:
+:attr:`point_memo` reads them, a registry scrape publishes them as gauges.
 """
 
 from __future__ import annotations
@@ -126,8 +128,23 @@ class InferenceSession:
         # reader's rebuild).  A read that finds a fresh state never
         # touches it; a stale one only try-acquires it.
         self._writer = threading.Lock()
+        get_registry().on_scrape(self._publish_point_memo)
 
     # ------------------------------------------------------------------
+    @property
+    def point_memo(self) -> dict[str, int]:
+        """Hits, misses and entries of the published state's PEC memo,
+        both aware sides summed (one lookup per point and side)."""
+        state = self._state
+        sides = state.memo.values() if state is not None else ()
+        return {"hits": sum(side.hits for side in sides),
+                "misses": sum(side.misses for side in sides),
+                "entries": sum(map(len, sides))}
+
+    def _publish_point_memo(self, registry) -> None:
+        for name, value in self.point_memo.items():
+            registry.gauge(f"perf.point_memo_{name}").set(value)
+
     def _live_version(self) -> int:
         return sum(p.version for p in self._params)
 
@@ -204,7 +221,9 @@ class InferenceSession:
         tables beside the published city tables.  Verified, not trusted:
         taken only when the published state is fresh and ``state`` moves
         nothing but those rows of the two HSGC user tables; anything else
-        is the full rebuild.  Returns the exclusive
+        is the full rebuild.  That proof covers all a memoised ``(v_L,
+        v_S)`` reads, so the memo is handed on by reference; every other
+        swap starts an empty one.  Returns the exclusive
         pause in milliseconds — here just the publish step (also
         observed on ``perf.swap_pause_ms``; the build beside reads is
         ``perf.swap_build_ms``).
@@ -225,7 +244,8 @@ class InferenceSession:
                     table = as_array(old.tables[side][0]).copy()
                     table[users] = as_array(rows)
                     tables[side] = (table, old.tables[side][1])
-                frozen = dataclasses.replace(frozen, tables=tables)
+                frozen = dataclasses.replace(frozen, tables=tables,
+                                             memo=old.memo)
             built = time.perf_counter()
             self._state = frozen
             return _record_swap(self, start, built)

@@ -56,6 +56,8 @@ class RealTimeFeatureService:
         self._clicks: dict[int, list[ClickEvent]] = {
             user: [] for user in bookings_by_user
         }
+        # Ingests per user: bumped after a timeline moved, read before it is.
+        self._revision: Counter[int] = Counter()
 
     # ------------------------------------------------------------------
     # Streaming ingestion
@@ -91,6 +93,7 @@ class RealTimeFeatureService:
             key=lambda e: e.day,
         )
         self._evict(self._bookings, event.user_id, "booking")
+        self._revision[event.user_id] += 1
         get_registry().counter("rtfs.bookings_ingested").inc()
 
     def record_click(self, event: ClickEvent) -> None:
@@ -106,6 +109,7 @@ class RealTimeFeatureService:
             key=lambda e: e.day,
         )
         self._evict(self._clicks, event.user_id, "click")
+        self._revision[event.user_id] += 1
         get_registry().counter("rtfs.clicks_ingested").inc()
 
     # ------------------------------------------------------------------
@@ -151,6 +155,7 @@ class RealTimeFeatureService:
         serving facade catches this and degrades to a cold-start profile.
         """
         get_fault_injector().inject("features.history")
+        revision = self._revision.get(user_id, 0)
         current = self.current_city(user_id, day)
         if current is None:
             raise KeyError(f"no behavioural data for user {user_id}")
@@ -159,4 +164,5 @@ class RealTimeFeatureService:
             current_city=current,
             bookings=self.bookings_before(user_id, day),
             clicks=self.clicks_before(user_id, day, click_window_days),
+            revision=revision,
         )

@@ -61,10 +61,10 @@ class TestLRUBound:
         for point in points[:CAP]:
             capped_dataset.register_point(point)
         # Touch the oldest so the second-oldest becomes the LRU victim.
-        assert store.row(points[0].key) is not None
+        assert store.row(ODDataset._key(points[0])) is not None
         capped_dataset.register_point(points[CAP])
-        assert store.row(points[0].key) is not None
-        assert store.row(points[1].key) is None
+        assert store.row(ODDataset._key(points[0])) is not None
+        assert store.row(ODDataset._key(points[1])) is None
         assert capped_dataset.encoded_evictions == 1
 
     def test_evicted_row_is_reused_not_regrown(self, capped_dataset):
@@ -82,7 +82,7 @@ class TestLRUBound:
         reference = capped_dataset._store.long_origins[first_row].copy()
         for i in range(1, 2 * CAP):
             capped_dataset.register_point(_adhoc_point(capped_dataset, i))
-        assert capped_dataset._store.row(point.key) is None
+        assert capped_dataset._store.row(ODDataset._key(point)) is None
         new_row = capped_dataset.register_point(point)
         np.testing.assert_array_equal(
             capped_dataset._store.long_origins[new_row], reference
@@ -91,7 +91,8 @@ class TestLRUBound:
 
 class TestPinnedRows:
     def test_offline_points_survive_adhoc_floods(self, capped_dataset):
-        keys = [p.key for p in capped_dataset.source.train_points[:5]]
+        points = capped_dataset.source.train_points[:5]
+        keys = [ODDataset._key(point) for point in points]
         rows_before = [capped_dataset._store.row(key) for key in keys]
         for i in range(5 * CAP):
             capped_dataset.register_point(_adhoc_point(capped_dataset, i))
@@ -115,7 +116,7 @@ class TestServingAfterEviction:
         before = capped_dataset.batch_for_requests([(point, candidates)])
         for i in range(1, 2 * CAP):
             capped_dataset.register_point(_adhoc_point(capped_dataset, i))
-        assert capped_dataset._store.row(point.key) is None
+        assert capped_dataset._store.row(ODDataset._key(point)) is None
         after = capped_dataset.batch_for_requests([(point, candidates)])
         np.testing.assert_array_equal(before.long_origins, after.long_origins)
         np.testing.assert_array_equal(before.xst_o, after.xst_o)
