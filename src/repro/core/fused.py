@@ -30,8 +30,9 @@ Every sanctioned weight mutation (``Adam.step``, ``SGD.step``,
 ``Module.load_state_dict``, the PS write-back) *rebinds* ``param.data``
 and never writes into the old array, so a capture is immutable without
 a copy and scores as one version whatever the live model does
-meanwhile.  HSGC (Eqs. 1–2) is not served from a view: the tables are
-built once per version by the live model's ``embedding_tables()``.
+meanwhile.  HSGC (Eqs. 1–2) does not run per request: the tables are
+built once per version by the live model's ``embedding_tables()``,
+which propagates on a view of the HSGC components the same way.
 """
 
 from __future__ import annotations

@@ -106,19 +106,19 @@ class HSGComponent(Module):
             # --- users attend over their neighbour cities (Eq. 1, top) ---
             user_nbr = city_emb[user_neighbors]                  # (U, M, d)
             user_logits = F.relu(
-                (user_emb.expand_dims(1) * user_nbr).sum(axis=-1)
+                (F.expand_dims(user_emb, 1) * user_nbr).sum(axis=-1)
             )                                                     # (U, M)
             user_alpha = F.masked_softmax(user_logits, user_mask)
-            user_agg = (user_nbr * user_alpha.expand_dims(-1)).sum(axis=1)
+            user_agg = (user_nbr * F.expand_dims(user_alpha, -1)).sum(axis=1)
 
             # --- cities attend with spatial weights (Eq. 1, bottom) -------
             city_nbr = city_emb[table.city_neighbors]            # (C, M, d)
-            dots = (city_emb.expand_dims(1) * city_nbr).sum(axis=-1)
+            dots = (F.expand_dims(city_emb, 1) * city_nbr).sum(axis=-1)
             if self._city_spatial is not None:
                 dots = dots * self._city_spatial
             city_logits = F.relu(dots)
             city_alpha = F.masked_softmax(city_logits, table.city_mask)
-            city_agg = (city_nbr * city_alpha.expand_dims(-1)).sum(axis=1)
+            city_agg = (city_nbr * F.expand_dims(city_alpha, -1)).sum(axis=1)
 
             # --- line 5: concat + shared fully-connected + ReLU -----------
             user_emb = F.relu(layer(concat([user_emb, user_agg], axis=-1)))

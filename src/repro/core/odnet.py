@@ -154,16 +154,21 @@ class ODNET(NeuralRanker):
         """Materialise both HSGC propagations once (frozen-graph serving).
 
         Runs Algorithm 1 for the origin-aware and destination-aware
-        components under ``no_grad`` and returns ``{"o": (users, cities),
-        "d": (users, cities)}`` — the tables :meth:`score_pairs` gathers
-        from when passed back via ``tables``; ``users`` narrows the user
-        tables to those ids' rows (``None``: all).  At inference time the
-        parameters are frozen, so the tables stay valid until the next
+        components on a :func:`~repro.core.fused.frozen_view` of their
+        weights — the same code on plain arrays, so no tape and no Tensor
+        per op, and the same bits — and returns ``{"o": (users, cities),
+        "d": (users, cities)}`` as Tensors: the tables :meth:`score_pairs`
+        gathers from when passed back via ``tables``; ``users`` narrows
+        the user tables to those ids' rows (``None``: all).  The tables
+        hold the arrays bound now, so they stay valid until the next
         weight mutation (tracked by :attr:`Module.param_version`);
         :class:`repro.perf.InferenceSession` owns that invalidation.
         """
-        with no_grad():
-            return self._node_tables(users)
+        components = frozen_view([self.origin_hsgc, self.dest_hsgc])
+        return {
+            side: tuple(Tensor(table) for table in hsgc.node_embeddings(users))
+            for side, hsgc in zip(("o", "d"), components)
+        }
 
     def frozen_state(
         self, version: int | None = None, users=None

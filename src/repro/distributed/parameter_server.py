@@ -34,6 +34,7 @@ from ..guard.errors import reject
 from ..guard.ratelimit import TokenBucket
 from ..nn.module import Module
 from ..obs.registry import get_registry
+from ..optim.adam import adam_update
 from ..resilience import RetryPolicy, retry_call
 from ..resilience.chaos import get_fault_injector
 from ..resilience.errors import RetriesExhausted
@@ -165,22 +166,14 @@ class ParameterServer:
             registry.counter("ps.push_bytes").inc(
                 sum(np.asarray(grad).nbytes for grad in gradients.values())
             )
-        beta1, beta2, eps = 0.9, 0.999, 1e-8
         for name, grad in gradients.items():
             if name not in self._store:
                 raise KeyError(f"server {self.server_id} does not own {name}")
-            if self.grad_clip is not None:
-                norm = np.linalg.norm(grad)
-                if norm > self.grad_clip:
-                    grad = grad * (self.grad_clip / (norm + 1e-12))
             self._steps[name] += 1
-            t = self._steps[name]
-            self._m[name] = beta1 * self._m[name] + (1 - beta1) * grad
-            self._v[name] = beta2 * self._v[name] + (1 - beta2) * grad ** 2
-            m_hat = self._m[name] / (1 - beta1 ** t)
-            v_hat = self._v[name] / (1 - beta2 ** t)
-            self._store[name] -= (
-                self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            self._store[name] = adam_update(
+                self._store[name], grad, self._m[name], self._v[name],
+                self._steps[name], self.learning_rate,
+                grad_clip=self.grad_clip,
             )
 
 

@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..tensor import Tensor, functional as F
+from ..tensor import Tensor, functional as F, split
 from . import init
 from .module import Module, Parameter
 
@@ -38,28 +38,29 @@ class Linear(Module):
         standing for ``concat([x_b[rows_b] ...], -1)`` (``rows_b`` ``None``:
         every row is its own).  ``W·concat = Σ_b W_b·x_b``, so each block
         is projected on its own rows by its slice of the weight columns
-        and the projections are gather-added per output row."""
+        (one :func:`~repro.tensor.split` of ``Wᵀ``) and the projections
+        are gather-added per output row."""
         single = not isinstance(x, list)
         blocks = x
         if single:
             flat = x if x.ndim == 2 else x.reshape(-1, self.in_features)
             blocks = [(flat, None)]
-        weight = self.weight.transpose()
-        out, start = None, 0
-        for part, rows in blocks:
-            stop = start + part.shape[-1]
-            whole = stop - start == self.in_features
-            projected = part @ (weight if whole else weight[start:stop])
+        widths = [part.shape[-1] for part, _ in blocks]
+        if sum(widths) != self.in_features:
+            raise ValueError(
+                f"blocks are {sum(widths)} columns wide, "
+                f"expected {self.in_features}"
+            )
+        out = None
+        for (part, rows), weight in zip(
+            blocks, split(self.weight.transpose(), widths)
+        ):
+            projected = part @ weight
             if out is None and self.bias is not None:
                 projected = projected + self.bias  # on the block's own rows
             if rows is not None:
                 projected = projected[rows]
             out = projected if out is None else out + projected
-            start = stop
-        if start != self.in_features:
-            raise ValueError(
-                f"blocks are {start} columns wide, expected {self.in_features}"
-            )
         if single and x.ndim != 2:
             out = out.reshape(*x.shape[:-1], self.out_features)
         return out

@@ -43,5 +43,6 @@ class SGD:
             if self.momentum:
                 self._velocity[i] = self.momentum * self._velocity[i] + grad
                 grad = self._velocity[i]
-            param.data = param.data - self.lr * grad
+            # A 0-d difference is a numpy scalar: keep the parameter an array.
+            param.data = np.asarray(param.data - self.lr * grad)
             param.bump_version()

@@ -13,6 +13,7 @@ from .core import (
     is_grad_enabled,
     maximum,
     no_grad,
+    split,
     stack,
     where,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "as_tensor",
     "as_array",
     "concat",
+    "split",
     "stack",
     "where",
     "maximum",

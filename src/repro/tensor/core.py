@@ -16,6 +16,7 @@ Gradient correctness is verified against central finite differences in
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -28,6 +29,7 @@ __all__ = [
     "as_tensor",
     "as_array",
     "concat",
+    "split",
     "stack",
     "where",
     "maximum",
@@ -87,13 +89,60 @@ def sigmoid_array(x) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + exp_neg), exp_neg / (1.0 + exp_neg))
 
 
+def _max_keepdims(x: np.ndarray, axis: int) -> np.ndarray:
+    """``x.max(axis, keepdims=True)``, bit for bit.  numpy reduces a
+    short innermost axis one row at a time, so with at least 16 rows per
+    column a running ``np.maximum`` over the columns is several times
+    faster; a maximum does not round, so the order it is taken in cannot
+    change a bit."""
+    width = x.shape[axis] if x.ndim else 0
+    innermost = x.ndim and axis % x.ndim == x.ndim - 1
+    if innermost and 1 < width <= 16 and x.size >= 16 * width * width:
+        out = x[..., 0].copy()
+        for column in range(1, width):
+            np.maximum(out, x[..., column], out=out)
+        return out[..., None]
+    return x.max(axis=axis, keepdims=True)
+
+
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    exp = np.exp(x - _max_keepdims(x, axis))
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def masked_fill_array(x, mask: np.ndarray, value: float) -> np.ndarray:
     return np.where(mask, value, x)
+
+
+def masked_softmax_array(x, mask: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax over ``axis`` at the positions ``mask`` keeps; a row it
+    keeps none of is all zeros.  ``mask`` is boolean."""
+    weights, kept = _masked_softmax_parts(x, mask, axis)
+    return weights * kept
+
+
+def _masked_softmax_parts(x, mask: np.ndarray, axis: int):
+    """The softmax of ``x`` with the blocked positions at -1e30, and per
+    row 1.0 if ``mask`` keeps any position of it, else 0.0."""
+    weights = softmax_array(masked_fill_array(x, ~mask, -1e30), axis)
+    return weights, np.asarray(mask.any(axis=axis, keepdims=True),
+                               dtype=np.float64)
+
+
+def _scatter_rows(rows: np.ndarray, grad: np.ndarray, shape) -> np.ndarray:
+    """``np.add.at(zeros(shape), rows, grad)`` as one ``np.bincount`` over
+    ``row * width + column``: every sum starts from 0.0 and adds in
+    index order, as ``np.add.at`` does, so the bits are the same."""
+    count = shape[0]
+    width = math.prod(shape[1:])
+    flat = rows.reshape(-1).astype(np.intp, copy=False)
+    if flat.size and flat.min() < 0:
+        flat = np.where(flat < 0, flat + count, flat)
+    if width != 1:
+        flat = (flat[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(
+        flat, weights=grad.reshape(-1), minlength=count * width
+    ).reshape(shape)
 
 
 class Tensor:
@@ -230,6 +279,11 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
+        # Keys whose array this pass allocated.  A first deposit is kept
+        # as it comes — it may be a forward array, a read-only broadcast
+        # view or another node's gradient — so it is never written; the
+        # second makes a new sum, which later deposits add into in place.
+        owned: set[int] = set()
 
         def deposit(parent: "Tensor", parent_grad: np.ndarray) -> None:
             if not parent.requires_grad:
@@ -238,13 +292,19 @@ class Tensor:
                 np.asarray(parent_grad, dtype=np.float64), parent.data.shape
             )
             key = id(parent)
-            if key in grads:
-                grads[key] = grads[key] + parent_grad
-            else:
+            held = grads.get(key)
+            if held is None:
                 grads[key] = parent_grad
+            elif key in owned:
+                held += parent_grad
+            else:
+                grads[key] = held = held + parent_grad
+                if isinstance(held, np.ndarray):  # a 0-d sum is a scalar
+                    owned.add(key)
 
         for node in reversed(order):
             node_grad = grads.pop(id(node), None)
+            owned.discard(id(node))
             if node_grad is None:
                 continue
             if node._backward is None:
@@ -278,19 +338,25 @@ class Tensor:
 
         def backward(grad, deposit):
             deposit(self, grad)
-            deposit(other, -grad)
+            if other.requires_grad:
+                deposit(other, -grad)
 
         return Tensor._make(self.data - other.data, (self, other), backward)
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
+    # A binary op's backward computes an operand's gradient only when
+    # that operand takes one (a constant side would be computed and
+    # thrown away).
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
 
         def backward(grad, deposit):
-            deposit(self, grad * other.data)
-            deposit(other, grad * self.data)
+            if self.requires_grad:
+                deposit(self, grad * other.data)
+            if other.requires_grad:
+                deposit(other, grad * self.data)
 
         return Tensor._make(self.data * other.data, (self, other), backward)
 
@@ -300,8 +366,10 @@ class Tensor:
         other = as_tensor(other)
 
         def backward(grad, deposit):
-            deposit(self, grad / other.data)
-            deposit(other, -grad * self.data / (other.data ** 2))
+            if self.requires_grad:
+                deposit(self, grad / other.data)
+            if other.requires_grad:
+                deposit(other, -grad * self.data / (other.data ** 2))
 
         return Tensor._make(self.data / other.data, (self, other), backward)
 
@@ -324,8 +392,10 @@ class Tensor:
             raise ValueError("matmul requires tensors with ndim >= 2")
 
         def backward(grad, deposit):
-            deposit(self, grad @ np.swapaxes(b, -1, -2))
-            deposit(other, np.swapaxes(a, -1, -2) @ grad)
+            if self.requires_grad:
+                deposit(self, grad @ np.swapaxes(b, -1, -2))
+            if other.requires_grad:
+                deposit(other, np.swapaxes(a, -1, -2) @ grad)
 
         return Tensor._make(a @ b, (self, other), backward)
 
@@ -497,10 +567,15 @@ class Tensor:
         index = _normalize_index(index)
 
         def backward(grad, deposit):
+            # An integer array gathers rows: one bincount scatters them
+            # back.  A basic index (slices / ints / None / Ellipsis)
+            # selects every position at most once, so its gradient is a
+            # plain assignment; any other fancy index scatter-adds.
+            if isinstance(index, np.ndarray) and index.dtype.kind in "iu":
+                deposit(self, _scatter_rows(index, np.asarray(grad),
+                                            self.data.shape))
+                return
             full = np.zeros_like(self.data, dtype=np.float64)
-            # A basic index (slices / ints / None / Ellipsis) selects every
-            # position at most once, so its gradient is a plain assignment;
-            # only a fancy index can repeat one and needs the scatter-add.
             if all(
                 i is None or i is Ellipsis
                 or isinstance(i, (slice, int, np.integer))
@@ -518,12 +593,13 @@ class Tensor:
         indices = np.asarray(indices)
 
         def backward(grad, deposit):
-            full = np.zeros_like(self.data, dtype=np.float64)
             if axis == 0:
-                np.add.at(full, indices, np.asarray(grad))
-            else:
-                moved = np.moveaxis(full, axis, 0)
-                np.add.at(moved, indices, np.moveaxis(np.asarray(grad), axis, 0))
+                deposit(self, _scatter_rows(indices, np.asarray(grad),
+                                            self.data.shape))
+                return
+            full = np.zeros_like(self.data, dtype=np.float64)
+            moved = np.moveaxis(full, axis, 0)
+            np.add.at(moved, indices, np.moveaxis(np.asarray(grad), axis, 0))
             deposit(self, full)
 
         return Tensor._make(np.take(self.data, indices, axis=axis), (self,), backward)
@@ -540,6 +616,26 @@ class Tensor:
             deposit(self, out_data * (g - dot))
 
         return Tensor._make(out_data, (self,), backward)
+
+    def masked_softmax(self, mask: np.ndarray, axis: int = -1) -> "Tensor":
+        """:func:`masked_softmax_array` as one node: its backward does the
+        arithmetic of the fill → softmax → row-zeroing chain's."""
+        mask = np.asarray(mask, dtype=bool)
+        blocked = ~mask
+        weights, kept = _masked_softmax_parts(self.data, mask, axis)
+
+        def backward(grad, deposit):
+            # The row zeroing's factor is left out of ``grad``: a kept row
+            # is multiplied by exactly 1.0, and every position of a
+            # dropped row is blocked, so zeroed below whatever it holds.
+            g = np.asarray(grad)
+            part = g * weights
+            dot = part.sum(axis=axis, keepdims=True)
+            np.subtract(g, dot, out=part)
+            part *= weights
+            deposit(self, np.where(blocked, 0.0, part))
+
+        return Tensor._make(weights * kept, (self,), backward)
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -601,11 +697,54 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     def backward(grad, deposit):
         pieces = np.split(np.asarray(grad), splits, axis=axis)
         for tensor, piece in zip(tensors, pieces):
-            deposit(tensor, piece)
+            if tensor.requires_grad:
+                deposit(tensor, piece)
 
     return Tensor._make(
         np.concatenate([t.data for t in tensors], axis=axis), tensors, backward
     )
+
+
+_NOTHING = np.empty(0)  # the data of a split's hub node
+
+
+def split(tensor: Tensor, sizes: Sequence[int]) -> list:
+    """The pieces of ``tensor`` along its first axis, ``sizes`` rows
+    each, as one node: their gradients meet in one concatenation (zeros
+    for a piece that got none) instead of each piece scattering into a
+    zero array of the whole.  One size gives ``[tensor]``; an array
+    gives its views."""
+    if len(sizes) == 1:
+        return [tensor]
+    data = as_array(tensor)
+    pieces, stop = [], 0
+    for size in sizes:
+        pieces.append(data[stop:stop + size])
+        stop += size
+    if not isinstance(tensor, Tensor):
+        return pieces
+    if not (is_grad_enabled() and tensor.requires_grad):
+        return [Tensor(piece) for piece in pieces]
+    grads: list = [None] * len(pieces)
+
+    def join(_, deposit):
+        parts = [np.zeros_like(piece) if grad is None else grad
+                 for piece, grad in zip(pieces, grads)]
+        grads[:] = [None] * len(pieces)
+        deposit(tensor, np.concatenate(parts))
+
+    # The pieces hand their gradients to ``join`` through ``grads``; what
+    # they deposit into the hub is only the signal that it was reached.
+    hub = Tensor._make(_NOTHING, (tensor,), join)
+
+    def handing(at: int):
+        def backward(grad, deposit):
+            grads[at] = grad
+            deposit(hub, _NOTHING)
+        return backward
+
+    return [Tensor._make(piece, (hub,), handing(at))
+            for at, piece in enumerate(pieces)]
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -631,8 +770,10 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad, deposit):
         g = np.asarray(grad)
-        deposit(a, np.where(condition, g, 0.0))
-        deposit(b, np.where(condition, 0.0, g))
+        if a.requires_grad:
+            deposit(a, np.where(condition, g, 0.0))
+        if b.requires_grad:
+            deposit(b, np.where(condition, 0.0, g))
 
     return Tensor._make(np.where(condition, a.data, b.data), (a, b), backward)
 
@@ -645,7 +786,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad, deposit):
         g = np.asarray(grad)
-        deposit(a, g * (a_wins + 0.5 * ties))
-        deposit(b, g * (~a_wins & ~ties) + g * 0.5 * ties)
+        if a.requires_grad:
+            deposit(a, g * (a_wins + 0.5 * ties))
+        if b.requires_grad:
+            deposit(b, g * (~a_wins & ~ties) + g * 0.5 * ties)
 
     return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Tensor, masked_fill_array, sigmoid_array, softmax_array
+from .core import Tensor, masked_softmax_array, sigmoid_array, softmax_array
 
 __all__ = [
     "relu",
@@ -66,13 +66,8 @@ def masked_softmax(scores: Tensor, mask: np.ndarray, axis: int = -1) -> Tensor:
     """
     mask = np.asarray(mask, dtype=bool)
     if isinstance(scores, Tensor):
-        filled = scores.masked_fill(~mask, -1e30)
-    else:
-        filled = masked_fill_array(scores, ~mask, -1e30)
-    weights = softmax(filled, axis=axis)
-    # Zero out rows with no valid positions (softmax of all -1e30 is uniform).
-    any_valid = mask.any(axis=axis, keepdims=True)
-    return weights * np.asarray(any_valid, dtype=np.float64)
+        return scores.masked_softmax(mask, axis=axis)
+    return masked_softmax_array(scores, mask, axis)
 
 
 def binary_cross_entropy(

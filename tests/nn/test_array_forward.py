@@ -469,3 +469,24 @@ class TestViewKeepsCapturedWeights:
 
         np.testing.assert_array_equal(state.score_pairs(batch), before)
         assert not np.array_equal(model.score_pairs(batch), before)
+
+
+# ----------------------------------------------------------------------
+# Serving's HSGC tables: Algorithm 1 on a view of the components
+# ----------------------------------------------------------------------
+class TestEmbeddingTables:
+    @pytest.mark.parametrize("variant", ["ODNET", "ODNET-G"])
+    @pytest.mark.parametrize("users", [None, np.array([5, 0, 5, 17])],
+                             ids=["all", "some"])
+    def test_the_bits_of_the_tensor_propagation(self, od_dataset, variant,
+                                                users):
+        model = build_odnet(od_dataset, TINY_MODEL_CONFIG, variant=variant)
+        tables = model.embedding_tables(users)
+        with no_grad():
+            expected = model._node_tables(users)
+        params = {id(p) for p in model.parameters()}
+        for side in ("o", "d"):
+            for got, want in zip(tables[side], expected[side]):
+                assert type(got) is Tensor and not got.requires_grad
+                assert id(got) not in params     # a capture, not the weight
+                np.testing.assert_array_equal(got.data, want.data)

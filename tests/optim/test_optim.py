@@ -68,6 +68,63 @@ class TestAdam:
             opt.step()
         assert loss.item() < 0.3
 
+    def test_matches_the_textbook_rule_bit_for_bit(self, rng):
+        """In-place moments and update buffers round exactly like the
+        fresh-array formula; the weights are rebound, the moments kept."""
+        param = Parameter(rng.normal(size=(5, 3)))
+        opt = Adam([param], lr=0.05, weight_decay=0.01, grad_clip=1.0)
+        data, m, v = param.data.copy(), np.zeros((5, 3)), np.zeros((5, 3))
+        moments = opt._m[0], opt._v[0]
+        for t in range(1, 6):
+            grad = rng.normal(size=(5, 3)) * t
+            param.grad = grad
+            before = param.data
+            opt.step()
+            assert param.data is not before
+            grad = grad + 0.01 * data
+            norm = np.linalg.norm(grad)
+            if norm > 1.0:
+                grad = grad * (1.0 / (norm + 1e-12))
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad ** 2
+            m_hat, v_hat = m / (1.0 - 0.9 ** t), v / (1.0 - 0.999 ** t)
+            data = data - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            np.testing.assert_array_equal(param.data, data)
+        assert (opt._m[0], opt._v[0]) == moments
+        np.testing.assert_array_equal(opt._m[0], m)
+
+    def test_parameter_server_applies_the_same_rule(self, rng):
+        from repro.distributed import ParameterServer
+
+        start = rng.normal(size=(4, 2))
+        server = ParameterServer(0, learning_rate=0.02, grad_clip=5.0)
+        server.register("w", start)
+        param = Parameter(start.copy())
+        opt = Adam([param], lr=0.02, grad_clip=5.0)
+        for t in range(4):
+            grad = rng.normal(size=(4, 2)) * 10 ** t
+            server.push({"w": grad})
+            param.grad = grad
+            opt.step()
+        np.testing.assert_array_equal(server.pull(["w"])["w"], param.data)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda p: Adam(p, lr=0.1), lambda p: SGD(p, lr=0.1)],
+    ids=["adam", "sgd"],
+)
+def test_zero_d_parameter_stays_a_0d_array(make):
+    """A 0-d ``param.data - step`` is a numpy scalar; the optimizers keep
+    a 0-d parameter (ODNET's theta_logit) an ndarray across steps."""
+    theta = Parameter(np.zeros(()))
+    optimizer = make([theta])
+    for _ in range(3):
+        optimizer.zero_grad()
+        ((theta - 1.0) ** 2).backward()
+        optimizer.step()
+        assert isinstance(theta.data, np.ndarray) and theta.data.shape == ()
+    assert 0.0 < theta.item() < 1.0
+
 
 class TestSGD:
     def test_empty_parameters_rejected(self):

@@ -232,4 +232,12 @@ class TestRacingWriters:
 
         served = session.score_pairs(probe)
         assert session.cached_version == model.param_version
-        np.testing.assert_array_equal(served, model.score_pairs(probe))
+        # Bitwise against the all-users tables a session serves; the
+        # table-less call propagates the probe's users only (1e-12).
+        np.testing.assert_array_equal(
+            served,
+            model.score_pairs(probe, tables=model.embedding_tables()),
+        )
+        np.testing.assert_allclose(
+            served, model.score_pairs(probe), rtol=0, atol=1e-12
+        )
