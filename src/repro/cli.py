@@ -45,12 +45,11 @@ _EXPERIMENTS = {
              "--cluster the process-level self-healing drill "
              "(SIGKILL + SIGSTOP under traffic)",
     "bench": "perf baseline: serving p50/p99 + rps, training examples/sec, "
-             "overload, the multi-process cluster phase, the "
-             "million-user scale plane (streamed generation, sharded "
-             "store, ANN recall), and the online learning drill -> "
+             "overload, the multi-process cluster phase, and the online "
+             "learning drill -> "
              "BENCH_serving.json / BENCH_training.json / "
              "BENCH_overload.json / BENCH_cluster.json / "
-             "BENCH_scale.json / BENCH_online.json "
+             "BENCH_online.json "
              "(--phase selects a subset)",
     "cluster": "multi-process serving demo: N workers behind the routing "
                "gateway, then a rolling zero-downtime drain of one worker "
@@ -103,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: current directory)")
     parser.add_argument("--phase", action="append", default=None,
                         choices=("serving", "training", "overload",
-                                 "cluster", "chaos", "scale", "online"),
+                                 "cluster", "chaos", "online"),
                         help="for 'bench': run only this phase (repeatable; "
                              "default: all phases)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
@@ -581,20 +580,6 @@ def _bench(args) -> str:
                 f"deaths={report['deaths']}, "
                 f"hedged={report['gateway']['hedged']:.0f} "
                 f"(wins={report['gateway']['hedge_wins']:.0f})"
-            )
-        elif name == "scale":
-            lines.append(
-                f"scale: {report['generation']['users']} users streamed "
-                f"({report['generation']['users_per_sec']:.0f}/s), "
-                f"store {report['store']['disk_mb']:.0f}MB disk / "
-                f"{report['store']['resident_mb']:.0f}MB resident, "
-                f"ANN recall@{report['ann']['k']} "
-                f"{report['ann']['recall_at_k']:.3f} "
-                f"(scan {report['ann']['scan_fraction']:.0%}), "
-                f"retrieval p50 {report['serving']['p50_ms']:.2f}ms "
-                f"p99 {report['serving']['p99_ms']:.2f}ms, "
-                f"hit rate {report['serving']['shard_hit_rate']:.2f}, "
-                f"peak RSS {report['peak_rss_mb']:.0f}MB"
             )
         elif name == "online":
             lines.append(

@@ -21,7 +21,6 @@ from .synthetic import (
     FliggyDataset,
     generate_fliggy_dataset,
 )
-from .streaming import FliggyGenerator, UserStream
 from .temporal import XST_DIM, TemporalFeatureExtractor
 from .world import CityWorld, WorldConfig, generate_city_world
 
@@ -43,8 +42,6 @@ __all__ = [
     "FliggyDataset",
     "DecisionPoint",
     "generate_fliggy_dataset",
-    "FliggyGenerator",
-    "UserStream",
     "LbsnConfig",
     "foursquare_config",
     "gowalla_config",

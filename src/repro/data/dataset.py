@@ -24,6 +24,7 @@ points are pinned and never evicted.  Evictions are counted on
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -181,6 +182,10 @@ class _EncodedStore:
       list and are reused, so the matrices stop growing once the cap is
       reached.  An evicted key is transparently re-encoded on its next
       appearance.
+
+    ``put`` and the ad-hoc LRU touch in ``row`` hold ``_lock``, so two
+    concurrent puts cannot both take the last slot or one free row, and a
+    touch cannot race an eviction.  A pinned-key lookup never takes it.
     """
 
     def __init__(self, max_long: int, max_short: int,
@@ -200,6 +205,7 @@ class _EncodedStore:
             setattr(self, name, np.zeros((0, length), dtype=dtype))
         self.current_city = np.zeros(0, dtype=np.int64)
         self.stamp = np.zeros(0, dtype=np.int64)
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -227,38 +233,43 @@ class _EncodedStore:
     def row(self, key: tuple[int, int, int]) -> int | None:
         """The store row for ``key`` (LRU-touching ad-hoc rows), or None."""
         row = self._rows.get(key)
-        if row is not None and key in self._adhoc:
-            self._adhoc.move_to_end(key)
-        return row
+        if row is None or key not in self._adhoc:
+            return row
+        with self._lock:  # the key may have been evicted since
+            row = self._rows.get(key)
+            if row is not None:
+                self._adhoc.move_to_end(key)
+            return row
 
     def put(self, key: tuple[int, int, int], encoded: _EncodedPoint,
             pinned: bool) -> int:
         """Write ``encoded`` under ``key``, stamp 0 meanwhile; returns its row."""
-        row = self._rows.get(key)
-        if row is None:
-            if (not pinned and self.max_adhoc is not None
-                    and len(self._adhoc) >= self.max_adhoc):
-                old_key, old_row = self._adhoc.popitem(last=False)
-                del self._rows[old_key]
-                self._free.append(old_row)
-                self.evictions += 1
-            if self._free:
-                row = self._free.pop()
-            else:
-                self._ensure_capacity(self._size + 1)
-                row = self._size
-                self._size += 1
-            self._rows[key] = row
-            if not pinned:
-                self._adhoc[key] = row
-        elif key in self._adhoc:
-            self._adhoc.move_to_end(key)
-        self.stamp[row] = 0
-        for name, _ in _STORE_FIELDS:
-            getattr(self, name)[row] = getattr(encoded, name)
-        self.current_city[row] = encoded.current_city
-        self.stamp[row] = next(_STAMPS)
-        return row
+        with self._lock:
+            row = self._rows.get(key)
+            if row is None:
+                if (not pinned and self.max_adhoc is not None
+                        and len(self._adhoc) >= self.max_adhoc):
+                    old_key, old_row = self._adhoc.popitem(last=False)
+                    del self._rows[old_key]
+                    self._free.append(old_row)
+                    self.evictions += 1
+                if self._free:
+                    row = self._free.pop()
+                else:
+                    self._ensure_capacity(self._size + 1)
+                    row = self._size
+                    self._size += 1
+                self._rows[key] = row
+                if not pinned:
+                    self._adhoc[key] = row
+            elif key in self._adhoc:
+                self._adhoc.move_to_end(key)
+            self.stamp[row] = 0
+            for name, _ in _STORE_FIELDS:
+                getattr(self, name)[row] = getattr(encoded, name)
+            self.current_city[row] = encoded.current_city
+            self.stamp[row] = next(_STAMPS)
+            return row
 
 
 class ODDataset:
@@ -741,8 +752,9 @@ class ODDataset:
             point_rows=point_rows,
             first_rows=first_rows,
         )
-        # Seqlock read (the store has no lock): a stamp that read 0 or moved
-        # across the gather met a put — scored, but under no key (stamp 0).
+        # Seqlock read (a gather takes no lock; only puts do): a stamp that
+        # read 0 or moved across the gather met a put — scored, but under
+        # no key (stamp 0).
         intact = stamps == self._store.stamp[rows]
         batch.point_keys = (rows, np.where(intact, stamps, 0))
         return batch

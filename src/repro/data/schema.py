@@ -133,7 +133,7 @@ class UserHistory:
     current_city: int
     bookings: list[BookingEvent] = field(default_factory=list)
     clicks: list[ClickEvent] = field(default_factory=list)
-    revision: int = 0  #: the user's RTFS ingest count when read (0: offline)
+    revision: int = 0  #: RTFS ingest count when read (0: offline, -1: cold start)
 
     @property
     def origin_sequence(self) -> list[int]:

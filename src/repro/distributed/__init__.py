@@ -6,17 +6,13 @@ from .parameter_server import (
     PSConfig,
     Worker,
 )
-from .sharding import hash_shard, hash_shard_many, shard_parameters, shard_samples
-from .store import ShardedEmbeddingStore
+from .sharding import shard_parameters, shard_samples
 
 __all__ = [
     "ParameterServer",
     "Worker",
     "ParameterServerTrainer",
     "PSConfig",
-    "ShardedEmbeddingStore",
-    "hash_shard",
-    "hash_shard_many",
     "shard_parameters",
     "shard_samples",
 ]

@@ -8,14 +8,12 @@ storing part of the parameters" and each worker "fetches a portion of
 training samples".
 
 This module provides the partitioners: parameters are assigned to
-servers by a balanced greedy bin-packing over parameter sizes, training
-samples are split into equal worker shards, and *serving-side* row
-placement (which shard owns a user's embedding row) uses
+servers by a balanced greedy bin-packing over parameter sizes, and
+training samples are split into equal worker shards.  It also holds
 :func:`stable_hash`, the one process-independent hash in the repo (the
-cluster's consistent-hash ring takes its positions from it too) —
-``hash()`` is salted per interpreter and would scatter users differently
-on every restart, desyncing a store written by one process from a reader
-in another.
+cluster's consistent-hash ring takes its positions from it) — ``hash()``
+is salted per interpreter and would place keys differently on every
+restart, so two processes would disagree on who owns a key.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "stable_hash",
-    "hash_shard",
-    "hash_shard_many",
     "shard_parameters",
     "shard_samples",
 ]
@@ -39,26 +35,6 @@ def stable_hash(key: int | str) -> int:
     decimal/utf-8 form."""
     digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def hash_shard(key: int | str, num_shards: int) -> int:
-    """Stable shard index for a key: :func:`stable_hash` modulo
-    ``num_shards``."""
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
-    return stable_hash(key) % num_shards
-
-
-def hash_shard_many(keys: np.ndarray, num_shards: int) -> np.ndarray:
-    """Vector form of :func:`hash_shard` for integer key arrays."""
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
-    keys = np.asarray(keys)
-    return np.fromiter(
-        (stable_hash(key) % num_shards for key in keys.tolist()),
-        dtype=np.int64,
-        count=keys.size,
-    )
 
 
 def shard_parameters(

@@ -13,12 +13,11 @@ Two halves, deliberately decoupled by the :class:`SnapshotStore`:
   snapshot-apply in the repo: any serving process (the drills, the
   benchmark, every cluster worker) polls the store's pointer and
   hot-swaps newly promoted versions into its
-  :class:`~repro.perf.InferenceSession` /
-  :class:`~repro.perf.ShardedInferenceSession` through their one verb,
-  ``swap`` (a bare model gets ``load_state_dict``).  Both sessions
-  build the next frozen scoring state beside live reads and publish it
-  by reference (see :mod:`repro.perf.session`), so a poll never stalls
-  a request for the table build and a request never sees two versions.
+  :class:`~repro.perf.InferenceSession` through its one verb, ``swap``
+  (a bare model gets ``load_state_dict``).  The session builds the next
+  frozen scoring state beside live reads and publishes it by reference
+  (see :mod:`repro.perf.session`), so a poll never stalls a request for
+  the table build and a request never sees two versions.
   Followers never talk to the trainer; a trainer crash is invisible to
   them beyond the pointer going quiet.
 
@@ -50,10 +49,9 @@ class SnapshotFollower:
     """Polls the pointer and hot-swaps new versions into one target.
 
     ``target`` is anything with ``swap(state, touched_users=...)`` — an
-    :class:`~repro.perf.InferenceSession` or a
-    :class:`~repro.perf.ShardedInferenceSession`, which gets the
-    touched-user union across every version applied by the jump (see
-    :meth:`SnapshotStore.touched_union`) for per-shard invalidation —
+    :class:`~repro.perf.InferenceSession`, which gets the touched-user
+    union across every version applied by the jump (see
+    :meth:`SnapshotStore.touched_union`) for its user-scope rebuild —
     or else any ``Module`` (plain ``load_state_dict``).  The pointer is
     forward-only, so ``poll()`` applies a version at most once and never
     moves backwards.

@@ -23,8 +23,8 @@ Update modes
     tables/layers — never on other users' rows — so exactly the users
     that appeared in training batches have changed serving rows.  The
     snapshot carries that set as ``touched_users`` and
-    :meth:`~repro.perf.ShardedInferenceSession.swap` can
-    invalidate only their shards.  This is the classic production
+    :meth:`~repro.perf.InferenceSession.swap` can rebuild only their
+    rows.  This is the classic production
     split: hot per-user personalisation online, cold global retrain
     offline.  (With ``momentum > 0`` velocity keeps nudging previously
     touched rows after their gradients stop, so the touched set is then

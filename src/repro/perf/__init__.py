@@ -21,16 +21,14 @@ from .bench import (
     run_chaos_bench,
     run_cluster_bench,
     run_overload_bench,
-    run_scale_bench,
     run_serving_bench,
     run_training_bench,
 )
 from .microbatch import MicroBatchConfig, MicroBatcher
-from .session import InferenceSession, ShardedInferenceSession, supports_fast_path
+from .session import InferenceSession, supports_fast_path
 
 __all__ = [
     "InferenceSession",
-    "ShardedInferenceSession",
     "supports_fast_path",
     "MicroBatchConfig",
     "MicroBatcher",
@@ -40,7 +38,6 @@ __all__ = [
     "run_chaos_bench",
     "run_cluster_bench",
     "run_overload_bench",
-    "run_scale_bench",
     "run_serving_bench",
     "run_training_bench",
     "BENCH_PHASES",

@@ -51,7 +51,6 @@ __all__ = [
     "run_overload_bench",
     "run_cluster_bench",
     "run_chaos_bench",
-    "run_scale_bench",
     "run_online_bench",
     "run_bench",
     "BENCH_PHASES",
@@ -104,21 +103,6 @@ class BenchConfig:
     cluster_repeats: int = 3
     cluster_users: int = 1200
     cluster_cities: int = 60
-    # --- scale (million-user plane) -----------------------------------
-    scale_users: int = 1_000_000
-    scale_cities: int = 200          # the paper's city count (Table I)
-    scale_destinations: int = 20_000
-    scale_nprobe: int = 12
-    scale_dim: int = 32
-    scale_shards: int = 64
-    scale_hot_shards: int = 16
-    scale_requests: int = 400
-    scale_warmup: int = 20
-    scale_candidates: int = 120
-    scale_recall_k: int = 10
-    scale_recall_queries: int = 50
-    scale_writeback_users: int = 64
-    scale_rss_budget_mb: float = 2048.0
     # --- online (streaming-update chaos drill) --------------------------
     online_users: int = 200
     online_cities: int = 40
@@ -146,8 +130,6 @@ def quick_bench_config(seed: int = 0) -> BenchConfig:
         overload_requests_per_client=3,
         cluster_workers=2, cluster_requests=24, cluster_concurrency=4,
         cluster_repeats=2, cluster_users=600, cluster_cities=40,
-        scale_users=50_000, scale_cities=60, scale_destinations=4000,
-        scale_requests=120, scale_warmup=10, scale_recall_queries=25,
         online_users=60, online_cities=20, online_events=40,
         online_crash_events=24,
         seed=seed,
@@ -513,14 +495,6 @@ def run_chaos_bench(config: BenchConfig | None = None) -> dict:
         set_registry(previous)
 
 
-def run_scale_bench(config: BenchConfig | None = None) -> dict:
-    """The million-user scale plane (streamed generation, sharded store,
-    ANN recall, retrieval-tier latency) — see :mod:`repro.perf.scale`."""
-    from .scale import run_scale_bench as _run
-
-    return _run(config)
-
-
 def run_online_bench(config: BenchConfig | None = None) -> dict:
     """The online-learning chaos drill as a diffable bench phase.
 
@@ -566,7 +540,6 @@ BENCH_PHASES = {
     "overload": run_overload_bench,
     "cluster": run_cluster_bench,
     "chaos": run_chaos_bench,
-    "scale": run_scale_bench,
     "online": run_online_bench,
 }
 

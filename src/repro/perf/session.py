@@ -20,9 +20,9 @@ the next state beside the reads, which keep scoring from the old one;
 publishing is one assignment.  :mod:`repro.core.fused` says why a
 capture needs no copy.
 
-Both sessions install a published snapshot through one verb,
+A published snapshot is installed through one verb,
 ``swap(state, touched_users=None)`` — what
-:class:`~repro.online.SnapshotFollower` calls on whichever it follows.
+:class:`~repro.online.SnapshotFollower` calls on the session it follows.
 
 Invalidation contract
 ---------------------
@@ -51,17 +51,15 @@ The published state's PEC memo counts in plain ints off the request path:
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 import threading
 import time
 
 import numpy as np
 
 from ..obs.registry import get_registry
-from ..resilience.rwlock import ReadWriteLock
 from ..tensor import as_array
 
-__all__ = ["InferenceSession", "ShardedInferenceSession", "supports_fast_path"]
+__all__ = ["InferenceSession", "supports_fast_path"]
 
 
 def supports_fast_path(model) -> bool:
@@ -73,30 +71,6 @@ def supports_fast_path(model) -> bool:
     HSGC fall back to the plain path.
     """
     return hasattr(model, "embedding_tables")
-
-
-def _require_fast_path(model) -> None:
-    if not supports_fast_path(model):
-        raise TypeError(
-            f"{type(model).__name__} does not expose embedding_tables(); "
-            "the frozen-graph fast path needs an HSGC-style model"
-        )
-
-
-def _record_swap(session, start: float, built: float) -> float:
-    """Both sessions' swap bookkeeping.  ``start``..``built`` (load,
-    capture, table build) ran beside reads; ``built``..now excluded
-    them.  Returns the exclusive pause in milliseconds."""
-    pause_ms = (time.perf_counter() - built) * 1000.0
-    session.swaps += 1
-    registry = get_registry()
-    if registry.enabled:
-        registry.counter("perf.swaps").inc()
-        registry.histogram("perf.swap_build_ms").observe(
-            (built - start) * 1000.0
-        )
-        registry.histogram("perf.swap_pause_ms").observe(pause_ms)
-    return pause_ms
 
 
 class InferenceSession:
@@ -112,7 +86,11 @@ class InferenceSession:
     """
 
     def __init__(self, model):
-        _require_fast_path(model)
+        if not supports_fast_path(model):
+            raise TypeError(
+                f"{type(model).__name__} does not expose embedding_tables(); "
+                "the frozen-graph fast path needs an HSGC-style model"
+            )
         self.model = model
         self.hits = 0
         self.misses = 0
@@ -248,195 +226,18 @@ class InferenceSession:
                                              memo=old.memo)
             built = time.perf_counter()
             self._state = frozen
-            return _record_swap(self, start, built)
+            pause_ms = (time.perf_counter() - built) * 1000.0
+            self.swaps += 1
+            registry = get_registry()
+            if registry.enabled:
+                registry.counter("perf.swaps").inc()
+                registry.histogram("perf.swap_build_ms").observe(
+                    (built - start) * 1000.0
+                )
+                registry.histogram("perf.swap_pause_ms").observe(pause_ms)
+            return pause_ms
 
     # ------------------------------------------------------------------
     def score_pairs(self, batch) -> np.ndarray:
         """Eq. 11 scores from the published frozen state."""
         return self._lookup().score_pairs(batch)
-
-
-class ShardedInferenceSession:
-    """Frozen tables served through a hash-sharded float16 store.
-
-    :class:`InferenceSession` keeps both full ``(num_users, dim)`` user
-    tables resident in float32 — at the paper's 2.6 M-user deployment
-    scale that is gigabytes a serving process cannot hold.  This session
-    materialises ``embedding_tables()`` once, spills the **user** tables
-    of both aware sides into
-    :class:`repro.distributed.ShardedEmbeddingStore` (float16 memmaps,
-    LRU of hot decoded shards), and keeps only the small city tables
-    dense.  ``score_pairs`` compacts the batch's user ids (``np.unique``
-    + inverse), gathers just those rows through the store, and scores
-    from the same frozen state on a compact user table.
-
-    Per-shard invalidation contract: a PS write-back
-    (:meth:`write_back` / :meth:`refresh_users`) re-quantises only the
-    touched users' rows, bumping only *their* shards' versions and
-    dropping only *their* decoded blocks — every other shard keeps its
-    frozen rows hot.  This is the serving-side analogue of
-    ``InferenceSession.invalidate``, scoped from "the whole cache" down
-    to "the shards the push actually touched".
-
-    Scores are within float16 row-quantisation error of the dense
-    session (~1e-3 relative on user rows; regression-tested) — the
-    deliberate trade for a 2x footprint cut and bounded residency.
-    """
-
-    def __init__(
-        self,
-        model,
-        directory: str | pathlib.Path,
-        num_shards: int = 64,
-        max_hot_shards: int = 16,
-    ):
-        from ..distributed.store import ShardedEmbeddingStore
-
-        _require_fast_path(model)
-        self.model = model
-        frozen = model.frozen_state()
-        tables = frozen.tables
-        # The PEC/MMoE/theta capture scoring reads (user rows live in
-        # the stores, city tables in ``_cities``).
-        self._weights = dataclasses.replace(frozen, tables=None)
-        self._cities = {
-            side: as_array(tables[side][1]).astype(np.float64)
-            for side in ("o", "d")
-        }
-        self._stores = {
-            side: ShardedEmbeddingStore.from_array(
-                as_array(tables[side][0]),
-                directory,
-                name=f"users_{side}",
-                num_shards=num_shards,
-                max_hot_shards=max_hot_shards,
-            )
-            for side in ("o", "d")
-        }
-        self.num_users = self._stores["o"].num_rows
-        self.num_shards = num_shards
-        # Memmap rows are written in place, so unlike the dense session
-        # a row gather is the shared side of a lock and the publish step
-        # of swap the exclusive side; ``_writer`` serialises
-        # whole snapshots (their load + build runs outside that lock).
-        self._swap_lock = ReadWriteLock()
-        self._writer = threading.Lock()
-        self.swaps = 0
-
-    # ------------------------------------------------------------------
-    def store(self, side: str):
-        """The backing store of one aware side (``"o"`` or ``"d"``)."""
-        return self._stores[side]
-
-    def shard_of(self, user_id: int) -> int:
-        return self._stores["o"].shard_of(user_id)
-
-    def shard_version(self, side: str, shard: int) -> int:
-        return self._stores[side].shard_version(shard)
-
-    @property
-    def hits(self) -> int:
-        return sum(store.hits for store in self._stores.values())
-
-    @property
-    def misses(self) -> int:
-        return sum(store.misses for store in self._stores.values())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    @property
-    def resident_nbytes(self) -> int:
-        cities = sum(table.nbytes for table in self._cities.values())
-        return cities + sum(
-            store.resident_nbytes for store in self._stores.values()
-        )
-
-    # ------------------------------------------------------------------
-    def user_rows(self, side: str, user_ids: np.ndarray) -> np.ndarray:
-        """Float32 user embedding rows of one side, via the hot tier."""
-        return self._stores[side].rows(user_ids)
-
-    def score_pairs(self, batch) -> np.ndarray:
-        """Eq. 11 scores with user rows gathered from the sharded store."""
-        unique, compact = batch.by_distinct_user()
-        # The lock covers only the gather: rows are copied out of the
-        # store and everything else is held by reference.
-        with self._swap_lock.read():
-            weights = self._weights
-            tables = {
-                side: (
-                    self._stores[side].rows(unique).astype(np.float64),
-                    self._cities[side],
-                )
-                for side in ("o", "d")
-            }
-        return weights.score_pairs(compact, tables=tables)
-
-    # ------------------------------------------------------------------
-    # PS write-back (per-shard invalidation)
-    # ------------------------------------------------------------------
-    def write_back(
-        self, side: str, user_ids: np.ndarray, rows: np.ndarray
-    ) -> None:
-        """Push updated user rows for one side; touched shards only."""
-        self._stores[side].write_rows(user_ids, rows)
-
-    def refresh_users(self, user_ids: np.ndarray) -> None:
-        """Re-pull ``user_ids``' rows from the model's current tables.
-
-        Propagates those users only (``embedding_tables(user_ids)``)
-        and re-quantises — and therefore invalidates — only the shards
-        owning them; every other shard's frozen rows stay exactly as
-        they were.
-        """
-        user_ids = np.asarray(user_ids)
-        tables = self.model.embedding_tables(user_ids)
-        for side in ("o", "d"):
-            self._stores[side].write_rows(user_ids, as_array(tables[side][0]))
-
-    def swap(self, state: dict, touched_users=None) -> float:
-        """Install a published weight snapshot beside live reads (hot swap).
-
-        The sharded analogue of :meth:`InferenceSession.swap`: loads
-        ``state`` into the model, captures the new weights and builds
-        the tables (of ``touched_users`` only, when given) while reads
-        continue on the old rows, then — the only
-        part exclusive against row gathers, because memmap rows are
-        written in place — rebinds weights and city tables and re-spills
-        user rows.  With ``touched_users`` (an embedding-only update's
-        changed user ids) only *their* shards are re-quantised — every
-        untouched shard keeps its version and its hot decoded block,
-        which is the per-shard invalidation contract.  ``None`` means a
-        full update: every user row is rewritten.
-
-        Returns the exclusive pause in milliseconds (also observed on
-        ``perf.swap_pause_ms``; the part beside reads is
-        ``perf.swap_build_ms``).
-        """
-        with self._writer:
-            start = time.perf_counter()
-            self.model.load_state_dict(state)
-            user_ids = None
-            if touched_users is not None:
-                user_ids = np.unique(np.asarray(touched_users, np.intp))
-            frozen = self.model.frozen_state(users=user_ids)
-            if user_ids is None:
-                user_ids = np.arange(self.num_users)
-            fresh = {
-                side: (
-                    as_array(frozen.tables[side][0]),
-                    as_array(frozen.tables[side][1]).astype(np.float64),
-                )
-                for side in ("o", "d")
-            }
-            built = time.perf_counter()
-            with self._swap_lock.write():
-                self._weights = dataclasses.replace(frozen, tables=None)
-                for side, (rows, cities) in fresh.items():
-                    self._cities[side] = cities
-                    if user_ids.size:
-                        self._stores[side].write_rows(user_ids, rows)
-            return _record_swap(self, start, built)

@@ -53,7 +53,6 @@ from .fallback import (
     run_with_fallback,
 )
 from .retry import RetryPolicy, retry_call
-from .rwlock import ReadWriteLock
 
 __all__ = [
     # errors
@@ -67,8 +66,6 @@ __all__ = [
     # retry
     "RetryPolicy",
     "retry_call",
-    # rwlock
-    "ReadWriteLock",
     # breaker
     "CircuitBreaker",
     "CLOSED",

@@ -1,7 +1,6 @@
 """Online serving stack (Figure 9) and the A/B test simulator (Figure 7)."""
 
 from .abtest import ABTestConfig, ABTestResult, ABTestSimulator
-from .ann import ANNConfig, CoarseANNIndex
 from .explain import Explanation, RecommendationExplainer
 from .features import RealTimeFeatureService
 from .latency import LatencyReport, measure_serving_latency
@@ -15,8 +14,6 @@ from .recall import CandidateRecall, RecallConfig
 
 __all__ = [
     "RealTimeFeatureService",
-    "ANNConfig",
-    "CoarseANNIndex",
     "CandidateRecall",
     "RecallConfig",
     "RankingService",

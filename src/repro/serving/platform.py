@@ -223,12 +223,16 @@ class FlightRecommender:
 
         Ids outside the embedding table are hashed into range (the usual
         hash-bucket trick) so the model can still score the empty profile.
+        The bucket's user-keyed rows are borrowed; its history is not:
+        revision -1, which no RTFS read produces, keys the empty profile
+        apart from every point the bucket user holds in the encoded store.
         """
         return UserHistory(
             user_id=user_id % max(1, self.dataset.num_users),
             current_city=self.recall.most_popular_origin(),
             bookings=[],
             clicks=[],
+            revision=-1,
         )
 
     def popularity_rank(

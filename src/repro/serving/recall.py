@@ -34,9 +34,6 @@ class RecallConfig:
     max_historical_destinations: int = 8
     max_popular_destinations: int = 8
     max_clicked_destinations: int = 6
-    #: personalized embedding-recall cap (only when a destination ANN
-    #: index and a per-user query embedding are supplied).
-    max_embedding_destinations: int = 8
     max_pairs: int = 120
 
 
@@ -56,18 +53,10 @@ class CandidateRecall:
         world: CityWorld,
         route_popularity: np.ndarray,
         config: RecallConfig | None = None,
-        destination_index=None,
     ):
         self.world = world
         self.route_popularity = np.asarray(route_popularity, dtype=np.float64)
         self.config = config or RecallConfig()
-        #: optional :class:`repro.serving.ann.CoarseANNIndex` over the
-        #: destination embedding table.  When present *and* the caller
-        #: supplies a per-user query embedding, destination recall gains
-        #: a personalized embedding strategy whose candidate search is
-        #: sublinear in the city count (coarse clusters + exact rerank)
-        #: instead of a full scan.
-        self.destination_index = destination_index
         # Globally popular destinations by inbound route mass.
         inbound = self.route_popularity.sum(axis=0)
         self._popular_destinations = np.argsort(-inbound)
@@ -121,29 +110,7 @@ class CandidateRecall:
             parts.append(ranked[: config.max_historical_origins])
         return self._ordered_unique(np.concatenate(parts))
 
-    def embedding_destinations(
-        self, query_embedding: np.ndarray, k: int | None = None
-    ) -> np.ndarray:
-        """Personalized ANN recall: top destinations by inner product.
-
-        Requires a ``destination_index``; survivors come back in the
-        index's exact-rerank order (score descending, id ascending on
-        ties).
-        """
-        if self.destination_index is None:
-            raise ValueError(
-                "embedding recall needs a destination_index; construct "
-                "CandidateRecall(..., destination_index=CoarseANNIndex(...))"
-            )
-        if k is None:
-            k = self.config.max_embedding_destinations
-        return self.destination_index.search(query_embedding, k)
-
-    def _destination_array(
-        self,
-        history: UserHistory,
-        query_embedding: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _destination_array(self, history: UserHistory) -> np.ndarray:
         config = self.config
         bookings = history.bookings
         booked = np.fromiter(
@@ -153,35 +120,24 @@ class CandidateRecall:
         clicked = np.fromiter(
             (c.destination for c in clicks), np.int64, len(clicks)
         )
-        parts = [
+        return self._ordered_unique(np.concatenate([
             self._ranked_by_count(booked)[: config.max_historical_destinations],
             self._popular_destinations[: config.max_popular_destinations],
-        ]
-        if query_embedding is not None and self.destination_index is not None:
-            parts.append(self.embedding_destinations(query_embedding))
-        parts.append(clicked)
-        return self._ordered_unique(np.concatenate(parts))
+            clicked,
+        ]))
 
     def candidate_origins(self, history: UserHistory) -> list[int]:
         """Current city + adjacent cities + resident city + historical Os."""
         return self._origin_array(history).tolist()
 
-    def candidate_destinations(
-        self,
-        history: UserHistory,
-        query_embedding: np.ndarray | None = None,
-    ) -> list[int]:
-        """Historical Ds + popular-route Ds (+ ANN Ds) + clicked Ds."""
-        return self._destination_array(history, query_embedding).tolist()
+    def candidate_destinations(self, history: UserHistory) -> list[int]:
+        """Historical Ds + popular-route Ds + clicked Ds."""
+        return self._destination_array(history).tolist()
 
-    def candidate_pairs(
-        self,
-        history: UserHistory,
-        query_embedding: np.ndarray | None = None,
-    ) -> list[ODPair]:
+    def candidate_pairs(self, history: UserHistory) -> list[ODPair]:
         """Cross-assembled OD pairs, deduplicated and capped."""
         get_fault_injector().inject("recall.candidates")
-        pairs = self._assemble_pairs(history, query_embedding)
+        pairs = self._assemble_pairs(history)
         registry = get_registry()
         if registry.enabled:
             registry.counter("recall.calls").inc()
@@ -229,11 +185,7 @@ class CandidateRecall:
         """The city with the largest outbound route mass."""
         return int(np.argmax(self.route_popularity.sum(axis=1)))
 
-    def _assemble_pairs(
-        self,
-        history: UserHistory,
-        query_embedding: np.ndarray | None = None,
-    ) -> list[ODPair]:
+    def _assemble_pairs(self, history: UserHistory) -> list[ODPair]:
         """Candidate pairs in priority order, deduplicated, capped.
 
         Generation order (mirrored from the list-based implementation it
@@ -255,7 +207,7 @@ class CandidateRecall:
             origin_parts.append(np.array([last.destination], dtype=np.int64))
             dest_parts.append(np.array([last.origin], dtype=np.int64))
         origins = self._origin_array(history)
-        destinations = self._destination_array(history, query_embedding)
+        destinations = self._destination_array(history)
         origin_parts.append(np.repeat(origins, destinations.shape[0]))
         dest_parts.append(np.tile(destinations, origins.shape[0]))
 

@@ -1,17 +1,10 @@
 """Parameter and data sharding, plus the blake2b ring discipline."""
 
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distributed import (
-    hash_shard,
-    hash_shard_many,
-    shard_parameters,
-    shard_samples,
-)
+from repro.distributed import shard_parameters, shard_samples
 
 
 class TestParameterSharding:
@@ -81,55 +74,11 @@ class TestSampleSharding:
         assert sum(1 for s in shards if len(s) == 0) == 2
 
 
-class TestHashShard:
-    def test_invalid_shard_count(self):
-        with pytest.raises(ValueError):
-            hash_shard(1, 0)
-        with pytest.raises(ValueError):
-            hash_shard_many(np.arange(3), -1)
-
-    def test_matches_blake2b_reference(self):
-        # The ring discipline: big-endian 64-bit blake2b of the decimal
-        # form, mod num_shards.  Pinning the reference keeps placement
-        # process- and restart-independent (unlike salted hash()).
-        for key in (0, 7, 123456789, "user:42"):
-            digest = hashlib.blake2b(
-                str(key).encode("utf-8"), digest_size=8
-            ).digest()
-            expected = int.from_bytes(digest, "big") % 16
-            assert hash_shard(key, 16) == expected
-
-    def test_deterministic_across_calls(self):
-        assert [hash_shard(k, 64) for k in range(100)] == [
-            hash_shard(k, 64) for k in range(100)
-        ]
-
-    def test_in_range(self):
-        shards = hash_shard_many(np.arange(1000), 7)
-        assert shards.min() >= 0
-        assert shards.max() < 7
-
-    def test_many_matches_scalar(self):
-        keys = np.arange(200)
-        np.testing.assert_array_equal(
-            hash_shard_many(keys, 13),
-            np.array([hash_shard(int(k), 13) for k in keys]),
-        )
-
-    def test_distribution_is_balanced(self):
-        counts = np.bincount(
-            hash_shard_many(np.arange(10_000), 16), minlength=16
-        )
-        mean = 10_000 / 16
-        assert counts.min() > 0.7 * mean
-        assert counts.max() < 1.3 * mean
-
-
 class TestPlacementsDoNotMove:
     """Golden values read at the commit before ``stable_hash`` replaced
-    the ring's and the shards' own blake2b calls: a change to the shared
-    hash would silently re-home every user and desync every store on
-    disk, so ring positions, shard indices and ring owners are pinned."""
+    the ring's own blake2b call: a change to the shared hash would
+    silently re-home every user, so ring positions and ring owners are
+    pinned."""
 
     KEYS = [0, 1, 7, 42, 1000, 123456789, "w0#0", "w1#63", "user:7", ""]
     POSITIONS = [
@@ -138,18 +87,11 @@ class TestPlacementsDoNotMove:
         11550907120429369735, 5206050530288179078, 11144460159094613434,
         16476032584258269876,
     ]
-    SHARDS_OF_64 = [53, 54, 2, 58, 2, 49, 7, 6, 58, 52]
 
     def test_stable_hash_values(self):
         from repro.distributed.sharding import stable_hash
 
         assert [stable_hash(key) for key in self.KEYS] == self.POSITIONS
-
-    def test_shard_indices(self):
-        assert [hash_shard(key, 64) for key in self.KEYS] == self.SHARDS_OF_64
-        assert hash_shard_many(
-            np.array(self.KEYS[:6]), 64
-        ).tolist() == self.SHARDS_OF_64[:6]
 
     def test_ring_owners(self):
         from repro.cluster import ConsistentHashRing

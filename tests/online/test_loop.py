@@ -172,12 +172,6 @@ class RecordingTarget:
         return 0.25
 
 
-class RecordingShardedTarget(RecordingTarget):
-    def swap(self, state, touched_users=None):
-        self.swaps.append(("swap", touched_users))
-        return 0.5
-
-
 class TestSnapshotFollower:
     def test_applies_each_version_once_forward_only(self, store):
         target = RecordingTarget()
@@ -197,15 +191,15 @@ class TestSnapshotFollower:
         assert len(follower.pause_history_ms) == 2
         assert follower.staleness_s >= 0.0
 
-    def test_prefers_swap_over_swap(self, store):
-        target = RecordingShardedTarget()
+    def test_passes_touched_users_to_swap(self, store):
+        target = RecordingTarget()
         follower = SnapshotFollower(store, target)
         store.publish({"w": np.ones(3)}, {"touched_users": [7]})
         follower.poll()
-        assert target.swaps == [("swap", [7])]
+        assert target.swaps == [(["w"], [7])]
 
     def test_jump_unions_touched_users_across_skipped_versions(self, store):
-        target = RecordingShardedTarget()
+        target = RecordingTarget()
         follower = SnapshotFollower(store, target)
         store.publish({"w": np.ones(3)}, {"touched_users": [1]})
         assert follower.poll() == 1
@@ -215,17 +209,17 @@ class TestSnapshotFollower:
         store.publish({"w": np.full(3, 2.0)}, {"touched_users": [2]})
         store.publish({"w": np.full(3, 3.0)}, {"touched_users": [3]})
         assert follower.poll() == 3
-        assert target.swaps[-1] == ("swap", [2, 3])
+        assert target.swaps[-1] == (["w"], [2, 3])
 
     def test_jump_over_full_refresh_refreshes_fully(self, store):
-        target = RecordingShardedTarget()
+        target = RecordingTarget()
         follower = SnapshotFollower(store, target)
         store.publish({"w": np.ones(3)}, {"touched_users": [1]})
         follower.poll()
         store.publish({"w": np.full(3, 2.0)}, {"touched_users": None})
         store.publish({"w": np.full(3, 3.0)}, {"touched_users": [3]})
         follower.poll()
-        assert target.swaps[-1] == ("swap", None)
+        assert target.swaps[-1] == (["w"], None)
 
     def test_loop_polls_followers_every_tick(self, store, clock):
         target = RecordingTarget()

@@ -96,8 +96,7 @@ class TestTrainingBench:
 class TestPhaseSelection:
     def test_registry_names_every_phase(self):
         assert sorted(BENCH_PHASES) == [
-            "chaos", "cluster", "online", "overload", "scale", "serving",
-            "training",
+            "chaos", "cluster", "online", "overload", "serving", "training",
         ]
 
     def test_single_phase_writes_one_file(self, tmp_path):
@@ -236,116 +235,6 @@ class TestClusterValidator:
         report = self._cluster_report()
         report["rolling_drain"]["drained"] = False
         with pytest.raises(SystemExit, match="did not complete"):
-            self._check(tmp_path, report)
-
-
-class TestScaleValidator:
-    """check_bench's scale rules against synthetic reports (the real
-    report is exercised by the CI bench smoke)."""
-
-    @staticmethod
-    def _scale_report(**overrides):
-        report = {
-            "benchmark": "scale",
-            "schema_version": 1,
-            "config": {},
-            "available_cpus": 4,
-            "generation": {
-                "users": 50_000, "bookings": 400_000, "clicks": 600_000,
-                "train_samples": 900_000, "users_per_sec": 700.0,
-                "rss_before_mb": 60.0, "rss_after_mb": 62.0,
-            },
-            "store": {
-                "num_rows": 50_000, "num_shards": 64,
-                "max_hot_shards": 16, "disk_mb": 6.4, "resident_mb": 0.9,
-            },
-            "ann": {
-                "num_destinations": 4000, "num_clusters": 64,
-                "nprobe": 12, "k": 10, "recall_at_k": 0.99,
-                "scan_fraction": 0.12, "search_ms_per_query": 0.1,
-                "full_scan_ms_per_query": 0.2,
-            },
-            "serving": {
-                "p50_ms": 0.3, "p99_ms": 1.8, "requests_per_sec": 900.0,
-                "shard_hit_rate": 0.45,
-            },
-            "writeback": {
-                "users": 64, "shards_touched": 40, "shards_total": 64,
-                "expected_touched": 40,
-            },
-            "peak_rss_mb": 90.0,
-            "rss_budget_mb": 2048.0,
-        }
-        report.update(overrides)
-        return report
-
-    def _check(self, tmp_path, report):
-        check_bench = _load_check_bench()
-        path = tmp_path / "BENCH_scale.json"
-        path.write_text(json.dumps(report))
-        return check_bench.check(str(path))
-
-    def test_accepts_healthy_report(self, tmp_path):
-        assert "ok" in self._check(tmp_path, self._scale_report())
-
-    def test_rejects_rss_over_budget(self, tmp_path):
-        report = self._scale_report(peak_rss_mb=4096.0)
-        with pytest.raises(SystemExit, match="exceeds the"):
-            self._check(tmp_path, report)
-
-    def test_rejects_resident_not_below_disk(self, tmp_path):
-        report = self._scale_report()
-        report["store"]["resident_mb"] = report["store"]["disk_mb"]
-        with pytest.raises(SystemExit, match="not below its disk"):
-            self._check(tmp_path, report)
-
-    def test_rejects_low_recall(self, tmp_path):
-        report = self._scale_report()
-        report["ann"]["recall_at_k"] = 0.90
-        with pytest.raises(SystemExit, match="below the 0.95 gate"):
-            self._check(tmp_path, report)
-
-    def test_rejects_full_scan_fraction(self, tmp_path):
-        report = self._scale_report()
-        report["ann"]["scan_fraction"] = 1.0
-        with pytest.raises(SystemExit, match="not.*sublinear"):
-            self._check(tmp_path, report)
-
-    def test_rejects_whole_ring_invalidation(self, tmp_path):
-        report = self._scale_report()
-        report["writeback"].update(shards_touched=64, expected_touched=64)
-        with pytest.raises(SystemExit, match="invalidated every shard"):
-            self._check(tmp_path, report)
-
-    def test_rejects_touch_count_mismatch(self, tmp_path):
-        report = self._scale_report()
-        report["writeback"]["shards_touched"] = 39
-        with pytest.raises(SystemExit, match="hash to 40"):
-            self._check(tmp_path, report)
-
-    def test_p99_compared_to_sibling_serving_report(self, tmp_path):
-        # A serving report beside the scale report arms the latency
-        # comparison: retrieval p99 must stay within 2x the cached p99.
-        (tmp_path / "BENCH_serving.json").write_text(json.dumps({
-            "cached": {"p99_ms": 0.5},
-        }))
-        report = self._scale_report()
-        report["serving"]["p99_ms"] = 1.8
-        with pytest.raises(SystemExit, match="exceeds 2x"):
-            self._check(tmp_path, report)
-        report["serving"]["p99_ms"] = 0.9
-        assert "ok" in self._check(tmp_path, report)
-
-    def test_single_cpu_skips_p99_comparison_only(self, tmp_path):
-        (tmp_path / "BENCH_serving.json").write_text(json.dumps({
-            "cached": {"p99_ms": 0.1},
-        }))
-        report = self._scale_report(available_cpus=1)
-        report["serving"]["p99_ms"] = 5.0
-        assert "p99 comparison skipped" in self._check(tmp_path, report)
-        # The hardware-independent gates still bite on one CPU.
-        report["ann"]["recall_at_k"] = 0.5
-        with pytest.raises(SystemExit, match="below the 0.95 gate"):
             self._check(tmp_path, report)
 
 

@@ -21,7 +21,7 @@ from repro.core import build_odnet
 from repro.distributed import ParameterServerTrainer, PSConfig
 from repro.obs import use_observability
 from repro.optim import SGD, Adam
-from repro.perf import InferenceSession, ShardedInferenceSession
+from repro.perf import InferenceSession
 
 from ..conftest import TINY_MODEL_CONFIG
 from .test_hot_swap import _Hammer, _digest, probe, states  # noqa: F401
@@ -29,23 +29,15 @@ from .test_hot_swap import _Hammer, _digest, probe, states  # noqa: F401
 _TIMEOUT_S = 60.0
 
 
-@pytest.fixture(params=["dense", "sharded"])
-def serving(request, od_dataset, tmp_path):
-    """``(session, install)`` for both session types."""
-    model = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-    if request.param == "dense":
-        session = InferenceSession(model)
-        return session, session.swap
-    session = ShardedInferenceSession(
-        model, tmp_path, num_shards=8, max_hot_shards=4
-    )
-    return session, session.swap
+@pytest.fixture
+def session(od_dataset):
+    return InferenceSession(build_odnet(od_dataset, TINY_MODEL_CONFIG))
 
 
-def _version_digests(session, install, states, probe):
+def _version_digests(session, states, probe):
     digests = []
     for state in states:
-        install(state)
+        session.swap(state)
         digests.append(_digest(session.score_pairs(probe)))
     assert digests[0] != digests[1]
     return digests
@@ -53,13 +45,12 @@ def _version_digests(session, install, states, probe):
 
 class TestReadsBesideTheBuild:
     def test_read_returns_old_version_while_swap_is_building(
-        self, serving, states, probe, monkeypatch
+        self, session, states, probe, monkeypatch
     ):
         """Hangs (fails on the reader timeout) if a read waits for the
         table build, as it did behind the writer-preferring lock."""
-        session, install = serving
-        digest_a, digest_b = _version_digests(session, install, states, probe)
-        install(states[0])
+        digest_a, digest_b = _version_digests(session, states, probe)
+        session.swap(states[0])
 
         entered, release = threading.Event(), threading.Event()
         build = session.model.embedding_tables
@@ -71,7 +62,7 @@ class TestReadsBesideTheBuild:
 
         monkeypatch.setattr(session.model, "embedding_tables", parked_build)
         swapper = threading.Thread(
-            target=install, args=(states[1],), daemon=True
+            target=session.swap, args=(states[1],), daemon=True
         )
         swapper.start()
         try:
@@ -96,10 +87,9 @@ class TestReadsBesideTheBuild:
         assert _digest(session.score_pairs(probe)) == digest_b
 
     def test_one_table_build_per_swap_under_the_hammer(
-        self, serving, states, probe, monkeypatch
+        self, session, states, probe, monkeypatch
     ):
-        session, install = serving
-        expected = set(_version_digests(session, install, states, probe))
+        expected = set(_version_digests(session, states, probe))
         builds = []
         build = session.model.embedding_tables
 
@@ -111,7 +101,7 @@ class TestReadsBesideTheBuild:
         swaps = 30
         with _Hammer(lambda: session.score_pairs(probe)) as hammer:
             for i in range(swaps):
-                install(states[i % 2])
+                session.swap(states[i % 2])
         assert hammer.errors == []
         assert hammer.scored > 0
         assert hammer.digests <= expected
@@ -121,10 +111,9 @@ class TestReadsBesideTheBuild:
 
 
 class TestSwapTelemetry:
-    def test_build_and_pause_are_reported_apart(self, serving, states):
-        session, install = serving
+    def test_build_and_pause_are_reported_apart(self, session, states):
         with use_observability() as (registry, _tracer):
-            pause_ms = install(states[1])
+            pause_ms = session.swap(states[1])
             assert registry.counter("perf.swaps").value == 1
             build = registry.histogram("perf.swap_build_ms")
             pause = registry.histogram("perf.swap_pause_ms")

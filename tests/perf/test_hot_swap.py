@@ -1,10 +1,10 @@
 """Concurrent hot-swap: every observed score is one version, never a blend.
 
 The bit-identity contract the online loop's followers rely on: while
-:meth:`InferenceSession.swap` / :meth:`ShardedInferenceSession.swap`
-installs a snapshot mid-traffic, a concurrent ``score_pairs`` must return
-scores computed entirely from the *old* weights or entirely from the
-*new* ones.  A single mixed-version vector is a torn read.
+:meth:`InferenceSession.swap` installs a snapshot mid-traffic, a
+concurrent ``score_pairs`` must return scores computed entirely from the
+*old* weights or entirely from the *new* ones.  A single mixed-version
+vector is a torn read.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import build_odnet
-from repro.perf import InferenceSession, ShardedInferenceSession
+from repro.perf import InferenceSession
 
 from ..conftest import TINY_MODEL_CONFIG
 
@@ -130,56 +130,3 @@ class TestInferenceSessionHotSwap:
         torn = hammer.digests - expected
         assert not torn, f"{len(torn)} mixed-version score vector(s)"
         assert hammer.digests <= expected and hammer.digests
-
-
-class TestShardedSessionHotSwap:
-    @pytest.fixture()
-    def session(self, od_dataset, tmp_path):
-        return ShardedInferenceSession(
-            build_odnet(od_dataset, TINY_MODEL_CONFIG), tmp_path,
-            num_shards=8, max_hot_shards=4,
-        )
-
-    def test_swap_is_deterministic(self, session, states, probe):
-        state_a, state_b = states
-        session.swap(state_a)
-        digest_a = _digest(session.score_pairs(probe))
-        session.swap(state_b)
-        digest_b = _digest(session.score_pairs(probe))
-        assert digest_a != digest_b
-        session.swap(state_a)
-        assert _digest(session.score_pairs(probe)) == digest_a
-
-    def test_touched_users_preserves_untouched_shards(self, session,
-                                                      states, probe):
-        _, state_b = states
-        user = int(np.asarray(probe.user_ids).ravel()[0])
-        touched_shard = session.shard_of(user)
-        before = {
-            (side, shard): session.shard_version(side, shard)
-            for side in ("o", "d") for shard in range(8)
-        }
-        session.swap(state_b, touched_users=[user])
-        for (side, shard), version in before.items():
-            now = session.shard_version(side, shard)
-            if shard == touched_shard:
-                assert now > version, (side, shard)
-            else:
-                # The per-shard invalidation contract: untouched shards
-                # keep their version (and therefore their hot blocks).
-                assert now == version, (side, shard)
-
-    def test_concurrent_applies_never_blend(self, session, states, probe):
-        expected = set()
-        for state in states:
-            session.swap(state)
-            expected.add(_digest(session.score_pairs(probe)))
-        assert len(expected) == 2
-
-        with _Hammer(lambda: session.score_pairs(probe), threads=3) as hammer:
-            for i in range(10):
-                session.swap(states[i % 2])
-        assert hammer.errors == []
-        assert hammer.scored > 0
-        torn = hammer.digests - expected
-        assert not torn, f"{len(torn)} mixed-version score vector(s)"

@@ -38,7 +38,7 @@ from repro.obs.registry import MetricsRegistry, use_registry
 from repro.online import (
     IncrementalTrainer, OnlineTrainerConfig, SnapshotStore,
 )
-from repro.perf import InferenceSession, ShardedInferenceSession
+from repro.perf import InferenceSession
 from repro.serving import FlightRecommender
 from repro.serving.recall import CandidateRecall
 
@@ -497,13 +497,6 @@ class TestBypass:
         assert trainer.step() is not None
         (batch,) = seen   # a batch_for_requests batch: keyed, yet no memo
         assert batch.point_keys is not None and batch.point_memo is None
-
-    def test_sharded_session(self, world, no_memo, tmp_path):
-        sharded = ShardedInferenceSession(world.model, tmp_path,
-                                          num_shards=4, max_hot_shards=2)
-        batch = world.batch((0, ADHOC_DAY))
-        assert np.isfinite(sharded.score_pairs(batch)).all()
-        assert entries(sharded._weights) == 0
 
 
 class TestSubclass:

@@ -22,7 +22,7 @@ import pytest
 from repro.core import ODNETConfig, build_odnet
 from repro.data import FliggyConfig, ODDataset, generate_fliggy_dataset
 from repro.data.world import WorldConfig
-from repro.perf import InferenceSession, ShardedInferenceSession
+from repro.perf import InferenceSession
 from repro.tensor import as_array
 
 from ..conftest import TINY_MODEL_CONFIG
@@ -182,26 +182,6 @@ class TestFallsBackToTheFullRebuild:
         state[also].flat[0] += 0.25  # one scalar is enough
         session.swap(state, touched_users=_IDS)
         self._assert_full_rebuild(session, before)
-
-
-class TestShardedSession:
-    def test_touched_rows_match_a_full_respill(self, od_dataset, tmp_path):
-        """Only the touched users are propagated; their re-quantised
-        rows are what a full rebuild would have spilled."""
-        model = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        session = ShardedInferenceSession(
-            model, tmp_path / "a", num_shards=8, max_hot_shards=4
-        )
-        session.swap(_moved(model.state_dict()), touched_users=_IDS)
-        full = ShardedInferenceSession(
-            model, tmp_path / "b", num_shards=8, max_hot_shards=4
-        )
-        everyone = np.arange(session.num_users)
-        for side in ("o", "d"):
-            np.testing.assert_allclose(
-                session.user_rows(side, everyone),
-                full.user_rows(side, everyone), rtol=2e-3, atol=1e-6,
-            )
 
 
 class TestTableBuildDoesNotScaleWithTheGraph:

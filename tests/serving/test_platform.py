@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.schema import ODPair
+from repro.data import ODDataset
+from repro.data.schema import ODPair, UserHistory
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
@@ -68,6 +69,31 @@ class TestFlightRecommender:
         assert len(response) > 0
         assert response.degraded
         assert [str(e) for e in response.fallbacks] == ["features:cold_start"]
+
+    def test_unknown_user_scores_the_empty_profile(self, trained_odnet,
+                                                   fliggy_dataset):
+        """The stranger borrows its bucket user's id-keyed rows, never that
+        user's history, even when the bucket holds a pinned point on the
+        requested day."""
+        dataset = ODDataset(fliggy_dataset, max_long=10, max_short=6)
+        recommender = FlightRecommender(trained_odnet, dataset)
+        point = next(p for p in fliggy_dataset.test_points
+                     if p.history.bookings)
+        bucket, day = point.history.user_id, point.day
+        stranger = bucket + dataset.num_users
+        response = recommender.recommend(user_id=stranger, day=day, k=10)
+        assert [str(e) for e in response.fallbacks] == ["features:cold_start"]
+
+        empty = UserHistory(
+            user_id=bucket,
+            current_city=recommender.recall.most_popular_origin(),
+            revision=10**6,   # a key no point in the store holds
+        )
+        candidates = recommender.recall.candidate_pairs(empty)
+        expected = recommender.ranking.rank(empty, candidates, day=day, k=10)
+        assert [(f.pair, f.score) for f in response.flights] == [
+            (f.pair, f.score) for f in expected
+        ]
 
     def test_ranked_quality_beats_reversed(self, recommender, trained_odnet,
                                            od_dataset):

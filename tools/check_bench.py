@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 
 REQUIRED = {
@@ -59,19 +58,6 @@ REQUIRED = {
                        "store_version", "serving_errors"),
         "update_lag_ms": ("count", "p50", "p99", "max"),
         "swap_pause_ms": ("count", "p50", "p99", "max"),
-    },
-    "scale": {
-        "generation": ("users", "bookings", "clicks", "train_samples",
-                       "users_per_sec", "rss_before_mb", "rss_after_mb"),
-        "store": ("num_rows", "num_shards", "max_hot_shards",
-                  "disk_mb", "resident_mb"),
-        "ann": ("num_destinations", "num_clusters", "nprobe", "k",
-                "recall_at_k", "scan_fraction",
-                "search_ms_per_query", "full_scan_ms_per_query"),
-        "serving": ("p50_ms", "p99_ms", "requests_per_sec",
-                    "shard_hit_rate"),
-        "writeback": ("users", "shards_touched", "shards_total",
-                      "expected_touched"),
     },
 }
 TOP_LEVEL = ("benchmark", "schema_version", "config")
@@ -168,66 +154,6 @@ def check(path: str) -> str:
             if not isinstance(value, (int, float)) or value < 0:
                 _fail(path, f"gateway.{counter} is not a valid counter: "
                             f"{value!r}")
-    elif kind == "scale":
-        generation = report["generation"]
-        _positive(path, "generation.users", generation["users"])
-        _positive(path, "generation.users_per_sec",
-                  generation["users_per_sec"])
-        # The memory-lean claim: the whole run (1 M streamed users + two
-        # sharded stores + the ANN index + the serving loop) stays under
-        # the configured RSS budget.  Peak RSS is hardware-independent,
-        # so this gate is always on.
-        for key in ("peak_rss_mb", "rss_budget_mb"):
-            if key not in report:
-                _fail(path, f"missing {key!r}")
-            _positive(path, key, report[key])
-        if report["peak_rss_mb"] > report["rss_budget_mb"]:
-            _fail(path, f"peak RSS {report['peak_rss_mb']} MB exceeds the "
-                        f"{report['rss_budget_mb']} MB budget")
-        # Resident must be a strict subset of the spilled footprint —
-        # otherwise the store is not actually memory-lean.
-        store = report["store"]
-        _positive(path, "store.disk_mb", store["disk_mb"])
-        if store["resident_mb"] >= store["disk_mb"]:
-            _fail(path, f"store resident footprint ({store['resident_mb']} "
-                        f"MB) is not below its disk footprint "
-                        f"({store['disk_mb']} MB)")
-        ann = report["ann"]
-        if ann["recall_at_k"] < 0.95:
-            _fail(path, f"ANN recall@{ann['k']} ({ann['recall_at_k']}) is "
-                        f"below the 0.95 gate")
-        if not 0.0 < ann["scan_fraction"] < 1.0:
-            _fail(path, f"ANN scan_fraction ({ann['scan_fraction']}) is not "
-                        f"sublinear — the index scanned the whole corpus "
-                        f"or nothing")
-        _positive(path, "serving.requests_per_sec",
-                  report["serving"]["requests_per_sec"])
-        # Per-shard invalidation: a small write-back must bump exactly the
-        # shards holding the touched rows, and never the whole ring.
-        writeback = report["writeback"]
-        _positive(path, "writeback.users", writeback["users"])
-        if writeback["shards_touched"] != writeback["expected_touched"]:
-            _fail(path, f"write-back touched {writeback['shards_touched']} "
-                        f"shard(s) but the touched rows hash to "
-                        f"{writeback['expected_touched']}")
-        if writeback["shards_touched"] >= writeback["shards_total"]:
-            _fail(path, f"write-back invalidated every shard "
-                        f"({writeback['shards_touched']}/"
-                        f"{writeback['shards_total']}) — invalidation is "
-                        f"not per-shard")
-        # Retrieval p99 vs the serving-tier p99: a *latency* claim, held
-        # only where the host can time it meaningfully and only when the
-        # sibling serving report exists to compare against.
-        sibling = os.path.join(os.path.dirname(path) or ".",
-                               "BENCH_serving.json")
-        cpus = report.get("available_cpus", 2)
-        if cpus >= 2 and os.path.exists(sibling):
-            serving_report = json.loads(open(sibling).read())
-            budget = 2.0 * serving_report["cached"]["p99_ms"]
-            p99 = report["serving"]["p99_ms"]
-            if p99 > budget:
-                _fail(path, f"scale retrieval p99 ({p99} ms) exceeds 2x "
-                            f"the serving cached p99 ({budget} ms)")
     elif kind == "online":
         happy = report["happy"]
         _positive(path, "happy.bookings", happy["bookings"])
@@ -313,9 +239,7 @@ def check(path: str) -> str:
                 _fail(path, f"missing {key!r}")
             _positive(path, key, report[key])
     note = ""
-    if kind == "scale" and report.get("available_cpus", 2) < 2:
-        note = "; single-CPU host, p99 comparison skipped"
-    elif kind == "online" and report.get("available_cpus", 2) < 2:
+    if kind == "online" and report.get("available_cpus", 2) < 2:
         note = "; single-CPU host, update-lag gate skipped"
     return (
         f"{path}: ok ({kind}, schema v{report['schema_version']}{note})"
