@@ -10,12 +10,19 @@ Usage::
     python -m repro chaos --seed 0
     python -m repro chaos --overload
     python -m repro chaos --cluster
+    python -m repro cluster --workers 2 --requests 16
+    python -m repro online --quick
     python -m repro list
+
+The drills (``chaos --overload``, ``chaos --cluster``, ``cluster`` and
+``online``) exit non-zero when their report breaks the contract they
+exist to show.  Latency and throughput are measured by ``bench/``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -43,14 +50,8 @@ _EXPERIMENTS = {
     "chaos": "seeded fault-injection demo (degraded serving + PS training); "
              "--overload runs the admission-control overload scenario, "
              "--cluster the process-level self-healing drill "
-             "(SIGKILL + SIGSTOP under traffic)",
-    "bench": "perf baseline: serving p50/p99 + rps, training examples/sec, "
-             "overload, the multi-process cluster phase, and the online "
-             "learning drill -> "
-             "BENCH_serving.json / BENCH_training.json / "
-             "BENCH_overload.json / BENCH_cluster.json / "
-             "BENCH_online.json "
-             "(--phase selects a subset)",
+             "(SIGKILL + SIGSTOP under traffic); both drills exit "
+             "non-zero when their contract fails",
     "cluster": "multi-process serving demo: N workers behind the routing "
                "gateway, then a rolling zero-downtime drain of one worker "
                "under live traffic",
@@ -86,25 +87,20 @@ def build_parser() -> argparse.ArgumentParser:
                         help="for 'obs': render an existing JSONL snapshot "
                              "instead of running the live demo")
     parser.add_argument("--quick", action="store_true",
-                        help="for 'bench'/'online': CI-smoke sizes "
+                        help="for 'online': CI-smoke sizes "
                              "(seconds, not minutes)")
     parser.add_argument("--overload", action="store_true",
                         help="for 'chaos': run the overload scenario "
                              "(4x capacity, mixed priorities, graceful "
-                             "drain) instead of the fault-injection demo")
+                             "drain) instead of the fault-injection demo; "
+                             "exits non-zero unless traffic was admitted, "
+                             "no response was empty, and the drain "
+                             "completed and degraded later requests")
     parser.add_argument("--cluster", action="store_true",
                         help="for 'chaos': run the process-level "
                              "self-healing drill (SIGKILL one worker, "
                              "SIGSTOP another, under continuous traffic; "
                              "exits non-zero on any lost request)")
-    parser.add_argument("--output-dir", default=".", metavar="DIR",
-                        help="for 'bench': where BENCH_*.json are written "
-                             "(default: current directory)")
-    parser.add_argument("--phase", action="append", default=None,
-                        choices=("serving", "training", "overload",
-                                 "cluster", "chaos", "online"),
-                        help="for 'bench': run only this phase (repeatable; "
-                             "default: all phases)")
     parser.add_argument("--workers", type=int, default=2, metavar="N",
                         help="for 'cluster': number of worker processes "
                              "(default: 2)")
@@ -186,6 +182,14 @@ def _obs(args) -> str:
         return render_summary(registry, tracer)
 
 
+def _exit_on(command: str, failures: list[str]) -> None:
+    """Exit non-zero, naming every broken invariant, if there is one."""
+    if failures:
+        raise SystemExit(
+            f"repro {command}: drill failed:\n  " + "\n  ".join(failures)
+        )
+
+
 def _chaos_overload(args) -> str:
     """The overload scenario: 4x capacity offered with mixed priorities.
 
@@ -195,6 +199,10 @@ def _chaos_overload(args) -> str:
     every ``rank.score`` call.  The report shows what was admitted vs
     shed per priority, that admitted traffic kept a bounded p99, and
     that the final graceful drain completed every in-flight request.
+
+    Exits non-zero (the CI overload-smoke contract) unless some traffic
+    was admitted, no response was empty, the drain completed, and a
+    request after the drain came back degraded instead of admitted.
     """
     from .guard.overload import OverloadConfig, run_overload
     from .obs import render_summary, use_observability
@@ -230,6 +238,16 @@ def _chaos_overload(args) -> str:
         f"final_limit={report['final_limit']}  "
         f"adaptations={report['adaptations']}"
     )
+    failures = []
+    if report["admitted"] < 1:
+        failures.append("no request was admitted")
+    if report["empty_responses"]:
+        failures.append(f"{report['empty_responses']} empty responses")
+    if not report["drained"]:
+        failures.append("the drain did not complete")
+    if not report["post_drain_degraded"]:
+        failures.append("a request after the drain was not degraded")
+    _exit_on("chaos --overload", failures)
     lines.append("")
     lines.append(summary)
     return "\n".join(lines)
@@ -241,8 +259,8 @@ def _chaos_cluster(args) -> str:
     Under continuous gateway traffic, one worker is SIGKILLed and
     another SIGSTOP'd; the supervisor must detect both (process liveness
     for the kill, heartbeat staleness for the freeze) and splice fresh
-    replicas into the ring.  Exits non-zero if any request was lost or
-    no automatic replacement happened.
+    replicas into the ring.  Exits non-zero if no traffic flowed, any
+    request was lost, or either victim was not replaced.
     """
     from .cluster import run_chaos_drill
     from .cluster.chaos import chaos_cluster_config
@@ -267,16 +285,18 @@ def _chaos_cluster(args) -> str:
     ]
     for event in report["events"]:
         lines.append(f"  {event}")
+    failures = []
+    if traffic["requests"] < 1:
+        failures.append("no request was sent during the drill")
     if traffic["lost"]:
-        raise SystemExit(
-            "repro chaos --cluster: lost requests during the drill:\n  "
-            + "\n  ".join(traffic["errors"][:5])
-        )
+        failures.append(f"{traffic['lost']} lost requests")
+        failures.extend(traffic["errors"][:5])
     if report["supervisor"]["restarts"] < 2:
-        raise SystemExit(
-            "repro chaos --cluster: expected both chaos victims to be "
-            f"replaced, got restarts={report['supervisor']['restarts']}"
+        failures.append(
+            "expected both chaos victims to be replaced, got "
+            f"restarts={report['supervisor']['restarts']}"
         )
+    _exit_on("chaos --cluster", failures)
     return "\n".join(lines)
 
 
@@ -455,17 +475,28 @@ def _cluster(args) -> str:
     return "\n".join(lines)
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # non-Linux: no affinity API
+        return os.cpu_count() or 1
+
+
 def _online(args) -> str:
     """Run the online learning drill and report per-phase results.
 
-    Exits non-zero if any serving thread saw an error, any observed
-    score was not bit-identical to a published version, any crash stage
-    failed to preserve the old version or to recover, or the
-    crash-looping publisher was not abandoned — the CI online-smoke
-    contract.
+    Exits non-zero — the CI online-smoke contract — if any serving
+    thread saw an error, any observed score was not bit-identical to a
+    published version, the served version moved backwards, the crash
+    matrix did not cover exactly the publish stages, any stage failed to
+    crash, keep the old version or recover, the crash-looping publisher
+    never crashed or was not abandoned, or (on a host with at least two
+    CPUs, where wall-clock lag means something) the update-lag p99
+    exceeded its budget.
     """
     from .obs import MetricsRegistry, use_registry
-    from .online import OnlineDrillConfig, run_online_drill
+    from .online import PUBLISH_STAGES, OnlineDrillConfig, run_online_drill
 
     if args.quick:
         config = OnlineDrillConfig(
@@ -518,98 +549,36 @@ def _online(args) -> str:
         failures.append(f"{report['torn_reads_total']} torn reads")
     if not report["versions_monotonic"]:
         failures.append("served version moved backwards")
+    stages = tuple(entry["stage"] for entry in report["crash_matrix"])
+    if stages != PUBLISH_STAGES:
+        failures.append(
+            f"crash matrix covered {list(stages)}, "
+            f"expected {list(PUBLISH_STAGES)}"
+        )
     for entry in report["crash_matrix"]:
-        if not (entry["crashed"] and entry["old_version_preserved"]
-                and entry["recovered"]):
-            failures.append(f"crash stage {entry['stage']} failed")
+        stage = entry["stage"]
+        if not entry["crashed"]:
+            failures.append(f"crash stage {stage} never crashed")
+        if not entry["old_version_preserved"]:
+            failures.append(
+                f"crash at {stage} left the pointer on an unexpected "
+                f"version (v{entry['version_at_crash']})"
+            )
+        if not entry["recovered"]:
+            failures.append(f"trainer did not recover after the {stage} crash")
+    if loop["crashes"] < 1:
+        failures.append("crash-looping trainer never crashed")
     if not loop["abandoned"]:
         failures.append("crash-looping trainer was not abandoned")
-    if failures:
-        raise SystemExit(
-            "repro online: drill failed:\n  " + "\n  ".join(failures)
+    budget = report["update_lag_budget_ms"]
+    if _available_cpus() < 2:
+        lines.append("single-CPU host: update-lag gate skipped")
+    elif lag["p99"] > budget:
+        failures.append(
+            f"update lag p99 {lag['p99']:.1f}ms exceeds the "
+            f"{budget:.0f}ms budget"
         )
-    return "\n".join(lines)
-
-
-def _bench(args) -> str:
-    """Run the perf baseline and report where the JSON landed."""
-    import json
-
-    from .perf import quick_bench_config, run_bench
-
-    config = quick_bench_config(seed=args.seed) if args.quick else None
-    written = run_bench(config, output_dir=args.output_dir,
-                        phases=args.phase)
-    lines = []
-    for name, path in sorted(written.items()):
-        report = json.loads(path.read_text())
-        if name == "serving":
-            lines.append(
-                f"serving: uncached {report['uncached']['mean_ms']:.1f}ms "
-                f"({report['uncached']['requests_per_sec']:.1f} rps)  "
-                f"cached {report['cached']['mean_ms']:.1f}ms "
-                f"({report['cached']['requests_per_sec']:.1f} rps, "
-                f"{report['cached']['speedup_vs_uncached']:.2f}x)  "
-                f"microbatched {report['microbatched']['requests_per_sec']:.1f} rps "
-                f"({report['microbatched']['speedup_vs_concurrent_direct']:.2f}x "
-                f"vs direct, occupancy "
-                f"{report['microbatched']['occupancy_mean']:.1f})  "
-                f"microbatched-uncached "
-                f"{report['microbatched_uncached']['requests_per_sec']:.1f} rps "
-                f"({report['microbatched_uncached']['speedup_vs_uncached']:.2f}x "
-                f"vs uncached)"
-            )
-        elif name == "cluster":
-            lines.append(
-                f"cluster: {report['workers']} workers "
-                f"{report['cluster']['requests_per_sec']:.1f} rps vs "
-                f"concurrent-direct "
-                f"{report['concurrent_direct']['requests_per_sec']:.1f} rps "
-                f"({report['cluster']['speedup_vs_concurrent_direct']:.2f}x, "
-                f"efficiency "
-                f"{report['cluster']['scaling_efficiency']:.2f}/worker)  "
-                f"rolling drain: {report['rolling_drain']['requests']} reqs, "
-                f"{report['rolling_drain']['failed']} failed, "
-                f"drained={report['rolling_drain']['drained']}"
-            )
-        elif name == "chaos":
-            lines.append(
-                f"chaos: {report['traffic']['requests']} reqs under "
-                f"SIGKILL+SIGSTOP, lost={report['traffic']['lost']}, "
-                f"restarts={report['worker_restarts']:.0f}, "
-                f"deaths={report['deaths']}, "
-                f"hedged={report['gateway']['hedged']:.0f} "
-                f"(wins={report['gateway']['hedge_wins']:.0f})"
-            )
-        elif name == "online":
-            lines.append(
-                f"online: {report['happy']['bookings']} streamed bookings "
-                f"-> {report['happy']['publishes']} publishes "
-                f"({report['happy']['swaps']} hot-swaps), "
-                f"torn_reads={report['torn_reads_total']}, "
-                f"serving_errors={report['serving_errors_total']}, "
-                f"crash stages recovered="
-                f"{sum(e['recovered'] for e in report['crash_matrix'])}/"
-                f"{len(report['crash_matrix'])}, "
-                f"lag p99 {report['update_lag_ms']['p99']:.1f}ms, "
-                f"swap pause p99 {report['swap_pause_ms']['p99']:.2f}ms"
-            )
-        elif name == "overload":
-            lines.append(
-                f"overload: offered {report['offered']} at "
-                f"{report['offered_multiplier']}x capacity -> "
-                f"admitted {report['admitted']} "
-                f"(p99 {report['admitted_latency_ms']['p99_ms']:.1f}ms), "
-                f"shed {report['shed']} "
-                f"(p99 {report['shed_latency_ms']['p99_ms']:.1f}ms), "
-                f"drained={report['drained']}"
-            )
-        else:
-            lines.append(
-                f"training: {report['examples_per_sec']:.1f} examples/sec "
-                f"over {report['epochs']} epoch(s)"
-            )
-        lines.append(f"  -> {path}")
+    _exit_on("online", failures)
     return "\n".join(lines)
 
 
@@ -619,8 +588,6 @@ def run_experiment(args) -> str:
         return _obs(args)
     if args.experiment == "chaos":
         return _chaos(args)
-    if args.experiment == "bench":
-        return _bench(args)
     if args.experiment == "cluster":
         return _cluster(args)
     if args.experiment == "online":

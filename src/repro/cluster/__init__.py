@@ -21,9 +21,10 @@ frozen-graph cache on its own GIL) behind a gateway that
 
 Everything is stdlib (``multiprocessing`` + length-prefixed JSON frames
 on persistent sockets, :mod:`repro.cluster.wire`); see
-``python -m repro cluster`` for the live demo,
-``python -m repro chaos --cluster`` for the kill/freeze/crash-loop
-drill, and the ``cluster``/``chaos`` bench phases for the numbers.
+``python -m repro cluster`` for the live demo and rolling drain,
+``python -m repro chaos --cluster`` for the kill/freeze drill (both
+exit non-zero on a lost request), and the ``gateway`` workload of
+``bench/`` (``bench/README.md``) for the numbers.
 """
 
 from .chaos import ChaosDrillReport, ProcessChaos, run_chaos_drill

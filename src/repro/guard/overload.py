@@ -1,19 +1,20 @@
 """The overload scenario: 4x capacity, mixed priorities, graceful drain.
 
-One seeded, threaded driver shared by the chaos CLI
-(``python -m repro chaos --overload``) and the bench overload phase
-(``python -m repro bench``): a guarded :class:`FlightRecommender` with a
-deliberately small concurrency limit is hammered by
-``offered_multiplier``x that capacity in concurrent clients, with
-priorities cycling interactive/batch/background and the chaos injector
-adding latency at ``rank.score`` to stand in for a slow model.
+One seeded, threaded driver behind ``python -m repro chaos --overload``:
+a guarded :class:`FlightRecommender` with a deliberately small
+concurrency limit is hammered by ``offered_multiplier``x that capacity
+in concurrent clients, with priorities cycling
+interactive/batch/background and the chaos injector adding latency at
+``rank.score`` to stand in for a slow model.
 
 The scenario demonstrates the overload contract end to end: every
 request returns a :class:`RecommendationResponse` (shed traffic comes
 back as typed admission degradations, never raw exceptions), admitted
 traffic keeps a bounded p99 because the queue is bounded, and a final
 :meth:`~repro.guard.ServerLifecycle.drain` completes every in-flight
-request before reporting drained.
+request before reporting drained.  The command exits non-zero unless
+some traffic was admitted, no response was empty, the drain completed
+and a request after it came back degraded.
 
 Heavy imports stay inside :func:`run_overload` — the serving package
 imports ``repro.guard``, so this module must not import serving at
