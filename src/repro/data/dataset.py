@@ -33,7 +33,13 @@ import numpy as np
 from ..graph import HeterogeneousSpatialGraph
 from ..obs.registry import get_registry
 from .schema import ODPair, Sample
-from .synthetic import DecisionPoint, FliggyDataset
+from .synthetic import (
+    DecisionPoint,
+    FliggyDataset,
+    PopularityDraws,
+    choice_cdf,
+    choice_draw,
+)
 from .temporal import XST_DIM, TemporalFeatureExtractor
 
 __all__ = ["ODBatch", "ODDataset", "RankingTask", "AUX_DIM", "FULL_XST_DIM"]
@@ -310,6 +316,7 @@ class ODDataset:
         self.coordinates = source.world.coordinates
         self.distance_km = source.world.distance_km
         self.popularity = source.world.popularity
+        self._popularity_draws = PopularityDraws(self.popularity)
         self.temporal = TemporalFeatureExtractor(source.bookings_by_user)
         self._hsg: HeterogeneousSpatialGraph | None = None
         self._store = _EncodedStore(max_long, max_short,
@@ -810,42 +817,34 @@ class ODDataset:
         return tasks
 
     def _random_city(self, exclude: int, rng: np.random.Generator) -> int:
-        while True:
-            city = int(rng.choice(self.num_cities, p=self.popularity))
-            if city != exclude:
-                return city
+        return self._popularity_draws.negative(exclude, rng)
+
+    def _plausible_city(
+        self, pool: np.ndarray, exclude: int, rng: np.random.Generator
+    ) -> int:
+        """A popularity-weighted draw from ``pool``, so that a distractor
+        is not separable from the true city by popularity alone; a pool
+        without popularity mass falls back to :meth:`_random_city`."""
+        weights = self.popularity[pool]
+        total = weights.sum()
+        if not total > 0.0:
+            return self._random_city(exclude, rng)
+        return int(pool[choice_draw(choice_cdf(weights / total), rng)])
 
     def _hard_origin(self, true_origin: int, rng: np.random.Generator) -> int:
-        """A geographically-plausible wrong origin (nearby airport).
-
-        Popularity-weighted so that the distractor is not separable from
-        the true origin by popularity alone.
-        """
+        """A geographically-plausible wrong origin (nearby airport)."""
         nearby = self.source.world.nearby_cities(true_origin, radius_km=600.0)
-        if nearby.size == 0:
-            return self._random_city(true_origin, rng)
-        weights = self.popularity[nearby]
-        weights = weights / weights.sum()
-        return int(rng.choice(nearby, p=weights))
+        return self._plausible_city(nearby, true_origin, rng)
 
     def _hard_destination(self, true_dest: int, rng: np.random.Generator) -> int:
-        """A semantically-plausible wrong destination (same pattern).
-
-        Popularity-weighted within the pattern for the same reason as
-        :meth:`_hard_origin`.
-        """
+        """A semantically-plausible wrong destination (same pattern)."""
         patterns = sorted(self.source.world.cities[true_dest].patterns)
         if not patterns:
             return self._random_city(true_dest, rng)
         members = self.source.world.cities_with_pattern(
             patterns[int(rng.integers(len(patterns)))]
         )
-        members = members[members != true_dest]
-        if members.size == 0:
-            return self._random_city(true_dest, rng)
-        weights = self.popularity[members]
-        weights = weights / weights.sum()
-        return int(rng.choice(members, p=weights))
+        return self._plausible_city(members[members != true_dest], true_dest, rng)
 
     #: fraction of distractors drawn from the plausible (hard) pools when
     #: hard negatives are enabled; the rest are popularity-random.

@@ -35,7 +35,14 @@ from .schema import (
     UserHistory,
     UserProfile,
 )
-from .synthetic import DecisionPoint, FliggyConfig, FliggyDataset
+from .synthetic import (
+    DecisionPoint,
+    FliggyConfig,
+    FliggyDataset,
+    PopularityDraws,
+    choice_cdf,
+    choice_draw,
+)
 from .world import CityWorld, WorldConfig
 
 __all__ = [
@@ -129,16 +136,21 @@ def _simulate_checkins(
     home: int,
     count: int,
     world: CityWorld,
+    popularity: PopularityDraws,
+    decay: np.ndarray,
     category_affinity: np.ndarray,
     config: LbsnConfig,
     rng: np.random.Generator,
 ) -> list[int]:
     """Exploration-and-preferential-return mobility from ``home``.
 
-    ``category_affinity`` is a per-POI multiplier derived from the user's
-    latent category preferences; it shapes both exploration modes, so the
-    user's personal taste is the dominant non-count signal.
+    ``decay[i]`` is every POI's popularity times its distance decay from
+    POI ``i``.  ``category_affinity`` is a per-POI multiplier derived from
+    the user's latent category preferences; it shapes both exploration
+    modes, so the user's personal taste is the dominant non-count signal.
     """
+    explore = world.popularity * category_affinity
+    explore = choice_cdf(explore / explore.sum())
     sequence = [home]
     visited: list[int] = [home]
     for _ in range(count - 1):
@@ -149,24 +161,21 @@ def _simulate_checkins(
             pois, counts = np.unique(visited, return_counts=True)
             weights = counts.astype(np.float64)
             weights /= weights.sum()
-            nxt = int(rng.choice(pois, p=weights))
+            nxt = int(pois[choice_draw(choice_cdf(weights), rng)])
             if nxt == current:
-                nxt = int(rng.choice(world.num_cities, p=world.popularity))
+                nxt = popularity.draw(rng)
         elif r < config.return_prob + config.explore_pop_prob:
-            weights = world.popularity * category_affinity
-            weights = weights / weights.sum()
-            nxt = int(rng.choice(world.num_cities, p=weights))
+            nxt = choice_draw(explore, rng)
         else:
             # Distance-decayed, popularity-weighted, taste-shaped.
-            distances = world.distance_km[current]
-            weights = (
-                world.popularity
-                * np.exp(-distances / config.distance_scale_km)
-                * category_affinity
-            )
+            weights = decay[current] * category_affinity
             weights[current] = 0.0
-            weights /= weights.sum()
-            nxt = int(rng.choice(world.num_cities, p=weights))
+            total = weights.sum()
+            if not total > 0.0:
+                # All the popularity on the current POI: move anywhere else.
+                nxt = popularity.negative(current, rng)
+            else:
+                nxt = choice_draw(choice_cdf(weights / total), rng)
         if nxt == current:
             nxt = (nxt + 1) % world.num_cities
         sequence.append(nxt)
@@ -178,6 +187,10 @@ def generate_lbsn_dataset(config: LbsnConfig) -> FliggyDataset:
     """Generate an LBSN dataset in the shared :class:`FliggyDataset` shape."""
     rng = np.random.default_rng(config.seed)
     world = _build_poi_world(config, rng)
+    popularity = PopularityDraws(world.popularity)
+    decay = world.popularity * np.exp(
+        -world.distance_km / config.distance_scale_km
+    )
 
     profiles: list[UserProfile] = []
     bookings_by_user: dict[int, list[BookingEvent]] = {}
@@ -190,7 +203,7 @@ def generate_lbsn_dataset(config: LbsnConfig) -> FliggyDataset:
         [city.region for city in world.cities], dtype=np.int64
     )
     for user_id in range(config.num_users):
-        home = int(rng.choice(world.num_cities, p=world.popularity))
+        home = popularity.draw(rng)
         count = max(config.min_checkins, int(rng.poisson(config.mean_checkins)))
         persona = rng.dirichlet(
             np.full(config.num_categories, config.category_concentration)
@@ -199,7 +212,8 @@ def generate_lbsn_dataset(config: LbsnConfig) -> FliggyDataset:
             config.category_strength * persona[poi_categories]
         )
         checkins = _simulate_checkins(
-            home, count, world, category_affinity, config, rng
+            home, count, world, popularity, decay, category_affinity, config,
+            rng,
         )
         days = np.sort(rng.choice(config.num_users * 2 + 730, size=len(checkins),
                                   replace=False))
@@ -259,7 +273,7 @@ def generate_lbsn_dataset(config: LbsnConfig) -> FliggyDataset:
                 )
                 point = DecisionPoint(history=history, target=target,
                                       day=booking.day)
-                samples = _lbsn_samples(point, world, config, rng)
+                samples = _lbsn_samples(point, popularity, config, rng)
                 if split == "train":
                     train_points.append(point)
                     train_samples.extend(samples)
@@ -288,18 +302,14 @@ def generate_lbsn_dataset(config: LbsnConfig) -> FliggyDataset:
 
 def _lbsn_samples(
     point: DecisionPoint,
-    world: CityWorld,
+    popularity: PopularityDraws,
     config: LbsnConfig,
     rng: np.random.Generator,
 ) -> list[Sample]:
     """Positive + D-only negatives (origin is the known previous location)."""
     user = point.history.user_id
     origin, destination = point.target
-    samples = [Sample(user, origin, destination, 1, 1, point.day)]
-    for _ in range(config.num_negatives):
-        while True:
-            negative = int(rng.choice(world.num_cities, p=world.popularity))
-            if negative != destination:
-                break
-        samples.append(Sample(user, origin, negative, 1, 0, point.day))
-    return samples
+    negatives = popularity.negatives([destination] * config.num_negatives, rng)
+    return [Sample(user, origin, destination, 1, 1, point.day)] + [
+        Sample(user, origin, negative, 1, 0, point.day) for negative in negatives
+    ]

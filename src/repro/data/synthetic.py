@@ -17,6 +17,12 @@ capturing them —
 Sample construction follows Table I exactly: each booking yields one
 positive ``(O+, D+)``, two of each partially-negative form ``(O+, D-)`` /
 ``(O-, D+)`` and two fully-negative ``(O-, D-)`` samples.
+
+The draw order is a contract: a seed names one world, byte for byte
+(``tests/data/test_hash_seed.py`` pins six).  Every weighted draw goes
+through :func:`choice_cdf` / :func:`choice_draw`, an exact rewrite of
+``Generator.choice(n, p=p)`` that validates a distribution once instead of
+on every draw, and per-user invariants are built once per user.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph import EdgeType, HeterogeneousSpatialGraph
+from ..graph import HeterogeneousSpatialGraph
 from .schema import (
     BookingEvent,
     City,
@@ -48,6 +54,8 @@ __all__ = [
 ]
 
 DAYS_PER_MONTH = 30
+#: ``Generator.choice``'s tolerance on the sum of ``p``
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 class DegenerateWorldError(ValueError):
@@ -56,6 +64,97 @@ class DegenerateWorldError(ValueError):
     The canonical case: asking for a negative destination in a one-city
     world, where every candidate equals the city being excluded.
     """
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, built once.
+
+    ``p`` is a non-empty float64 array.  Keeps choice's guard: a
+    ``ValueError`` when the sum of ``p`` is NaN or off 1 by more than
+    √eps.  ``p >= 0`` is the caller's to hold.
+    """
+    cdf = p.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _CHOICE_ATOL:
+        raise ValueError(f"probabilities sum to {cdf[-1]!r}, not 1")
+    cdf /= cdf[-1]
+    return cdf
+
+
+def choice_draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """``Generator.choice(len(p), p=p)`` for ``cdf = choice_cdf(p)``: the
+    same one double from ``rng`` and the same index."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+class PopularityDraws:
+    """Popularity-weighted city draws over one world's popularity vector.
+
+    Built once per generated world (or dataset) and passed down.
+    :meth:`negatives` is the one guarded negative sampler: the rejection
+    loop "draw until the city differs from ``exclude``", draw for draw,
+    except on the two worlds where that loop never ends.  A one-city
+    world raises :class:`DegenerateWorldError`; an ``exclude`` holding all
+    the popularity mass (as summed) draws uniformly over the other
+    cities, the limit of the loop.
+    """
+
+    def __init__(self, popularity: np.ndarray):
+        popularity = np.asarray(popularity, dtype=np.float64)
+        self.cdf = choice_cdf(popularity)
+        self._no_complement = (popularity.sum() - popularity) <= 0.0
+
+    def draw(self, rng: np.random.Generator) -> int:
+        return choice_draw(self.cdf, rng)
+
+    def negative(self, exclude: int, rng: np.random.Generator) -> int:
+        return self.negatives([exclude], rng)[0]
+
+    def negatives(
+        self, excludes: list[int], rng: np.random.Generator
+    ) -> list[int]:
+        """A negative city for each of ``excludes``, in order."""
+        num_cities = self.cdf.shape[0]
+        if excludes and num_cities <= 1:
+            raise DegenerateWorldError(
+                "cannot sample a negative city: the world has "
+                f"{num_cities} city/cities and every candidate equals "
+                f"the excluded city {excludes[0]}"
+            )
+        out: list[int] = []
+        run: list[int] = []
+        for exclude in excludes:
+            if self._no_complement[exclude]:
+                out += self._rejection_run(run, rng)
+                run = []
+                others = np.delete(np.arange(num_cities), exclude)
+                out.append(int(others[rng.integers(others.size)]))
+            else:
+                run.append(exclude)
+        return out + self._rejection_run(run, rng)
+
+    def _rejection_run(
+        self, excludes: list[int], rng: np.random.Generator
+    ) -> list[int]:
+        """The rejection loop for each of ``excludes`` on uniforms drawn
+        in chunks.  Each exclusion consumes at least one uniform, so a
+        chunk as long as the exclusions still to serve is never more than
+        the loop would draw: ``rng`` ends where the loop leaves it."""
+        out: list[int] = []
+        cities: list[int] = []
+        position = 0
+        for index, exclude in enumerate(excludes):
+            while True:
+                if position == len(cities):
+                    uniforms = rng.random(len(excludes) - index)
+                    cities = self.cdf.searchsorted(
+                        uniforms, side="right").tolist()
+                    position = 0
+                city = cities[position]
+                position += 1
+                if city != exclude:
+                    break
+            out.append(city)
+        return out
 
 
 @dataclass(frozen=True)
@@ -151,14 +250,9 @@ class FliggyDataset:
 
     def build_hsg(self) -> HeterogeneousSpatialGraph:
         """Construct the Heterogeneous Spatial Graph from training bookings."""
-        graph = HeterogeneousSpatialGraph(
-            num_users=self.num_users,
-            city_coordinates=self.world.coordinates,
+        return HeterogeneousSpatialGraph.from_events(
+            self.num_users, self.world.coordinates, self.training_od_events()
         )
-        for user, origin, destination in self.training_od_events():
-            graph.add_edge(user, origin, EdgeType.DEPARTURE)
-            graph.add_edge(user, destination, EdgeType.ARRIVE)
-        return graph
 
     def statistics(self) -> dict[str, int]:
         """Table I-style dataset statistics."""
@@ -186,7 +280,8 @@ def generate_fliggy_dataset(config: FliggyConfig) -> FliggyDataset:
     """Run the behaviour model and emit a full labelled dataset."""
     rng = np.random.default_rng(config.seed)
     world = generate_city_world(config.world, rng)
-    profiles = [_sample_profile(user, world, config, rng)
+    popularity = PopularityDraws(world.popularity)
+    profiles = [_sample_profile(user, world, popularity, config, rng)
                 for user in range(config.num_users)]
 
     bookings_by_user: dict[int, list[BookingEvent]] = {}
@@ -216,15 +311,15 @@ def generate_fliggy_dataset(config: FliggyConfig) -> FliggyDataset:
         for i in train_indices:
             train_points.append(
                 _make_decision_point(profile, bookings, locations, i, world,
-                                     config, rng)
+                                     popularity, config, rng)
             )
         test_points.append(
             _make_decision_point(profile, bookings, locations, test_index,
-                                 world, config, rng)
+                                 world, popularity, config, rng)
         )
 
-    train_samples = _expand_samples(train_points, world, config, rng)
-    test_samples = _expand_samples(test_points, world, config, rng)
+    train_samples = _expand_samples(train_points, popularity, config, rng)
+    test_samples = _expand_samples(test_points, popularity, config, rng)
 
     return FliggyDataset(
         config=config,
@@ -243,9 +338,13 @@ def generate_fliggy_dataset(config: FliggyConfig) -> FliggyDataset:
 # ---------------------------------------------------------------------------
 
 def _sample_profile(
-    user_id: int, world: CityWorld, config: FliggyConfig, rng: np.random.Generator
+    user_id: int,
+    world: CityWorld,
+    popularity: PopularityDraws,
+    config: FliggyConfig,
+    rng: np.random.Generator,
 ) -> UserProfile:
-    home = int(rng.choice(world.num_cities, p=world.popularity))
+    home = popularity.draw(rng)
     nearby = world.nearby_cities(home, config.nearby_radius_km)
     nearby = tuple(int(c) for c in nearby[: config.max_nearby_origins])
     # A concentrated Dirichlet gives most users one dominant travel pattern
@@ -268,61 +367,77 @@ def _month_of(day: int) -> int:
     return (day // DAYS_PER_MONTH) % 12
 
 
-def _choose_destination(
-    profile: UserProfile,
-    world: CityWorld,
-    current_city: int,
-    day: int,
-    rng: np.random.Generator,
-    visited: set[int] | None = None,
-    novelty_boost: float = 1.0,
-) -> int:
-    """Pattern-driven destination choice with price sensitivity.
-
-    ``novelty_boost`` > 1 up-weights *unvisited* cities, planting the
-    destination-exploration structure: the next D frequently shares a
-    pattern with past Ds without repeating them.
+class _DestinationChoice:
+    """Pattern-driven destination choice with price sensitivity, for one
+    user.  What does not change between bookings is built once: the
+    pattern CDFs outside and inside the vacation month, and per pattern
+    the members with a finite fare from home and their
+    ``popularity * exp(-s * price / 800)`` score.  The extra last pool is
+    every city, for a pattern whose only member is the current city.
     """
-    weights = np.asarray(profile.pattern_weights, dtype=np.float64).copy()
-    # Seasonal boost: in the user's vacation month leisure patterns dominate.
-    if _month_of(day) == profile.vacation_month:
+
+    def __init__(self, profile: UserProfile, world: CityWorld):
+        self.profile = profile
+        self.world = world
+        weights = np.asarray(profile.pattern_weights, dtype=np.float64)
+        # Seasonal boost: in the user's vacation month leisure patterns
+        # dominate.
+        vacation = weights.copy()
         for i, pattern in enumerate(CityPattern.ALL):
             if pattern in (CityPattern.SEASIDE, CityPattern.MOUNTAIN,
                            CityPattern.TOURIST):
-                weights[i] *= 3.0
-    weights /= weights.sum()
-    pattern = CityPattern.ALL[int(rng.choice(len(CityPattern.ALL), p=weights))]
-    candidates = world.cities_with_pattern(pattern)
-    candidates = candidates[candidates != current_city]
-    if candidates.size == 0:
-        candidates = np.setdiff1d(
-            np.arange(world.num_cities), np.asarray([current_city])
+                vacation[i] *= 3.0
+        self.pattern_cdfs = (choice_cdf(weights / weights.sum()),
+                             choice_cdf(vacation / vacation.sum()))
+        prices = world.prices[profile.home_city]
+        score = world.popularity * np.exp(
+            -profile.price_sensitivity * prices / 800.0
         )
-    prices = world.prices[profile.home_city, candidates]
-    finite = np.isfinite(prices)
-    candidates, prices = candidates[finite], prices[finite]
-    if candidates.size == 0:
-        # Degenerate pattern pool (e.g. its only member is the home city):
-        # fall back to popularity over everything reachable.
-        candidates = np.setdiff1d(
-            np.arange(world.num_cities),
-            np.asarray([current_city, profile.home_city]),
+        self.members = [world.cities_with_pattern(p) for p in CityPattern.ALL]
+        self.pools = [
+            cities[np.isfinite(prices[cities])]
+            for cities in (*self.members, np.arange(world.num_cities))
+        ]
+        self.scores = [score[pool] for pool in self.pools]
+
+    def choose(
+        self,
+        current_city: int,
+        day: int,
+        rng: np.random.Generator,
+        visited: np.ndarray | None,
+        novelty_boost: float,
+    ) -> int:
+        """``novelty_boost`` > 1 up-weights cities outside the boolean mask
+        ``visited`` (``None`` before the first booking), planting the
+        destination-exploration structure: the next D frequently shares a
+        pattern with past Ds without repeating them.
+        """
+        profile, world = self.profile, self.world
+        k = choice_draw(
+            self.pattern_cdfs[_month_of(day) == profile.vacation_month], rng
         )
+        members = self.members[k]
+        if members.size == 0 or (members.size == 1
+                                 and members[0] == current_city):
+            k = -1
+        keep = self.pools[k] != current_city
+        candidates, score = self.pools[k][keep], self.scores[k][keep]
         if candidates.size == 0:
+            # Degenerate pattern pool (e.g. its only member is the home
+            # city): fall back to popularity over everything reachable.
             candidates = np.setdiff1d(
-                np.arange(world.num_cities), np.asarray([current_city])
+                np.arange(world.num_cities),
+                np.asarray([current_city, profile.home_city]),
             )
-        weights = world.popularity[candidates]
-        weights = weights / weights.sum()
-        return int(rng.choice(candidates, p=weights))
-    score = world.popularity[candidates] * np.exp(
-        -profile.price_sensitivity * prices / 800.0
-    )
-    if visited and novelty_boost != 1.0:
-        unvisited = np.array([c not in visited for c in candidates])
-        score = score * np.where(unvisited, novelty_boost, 1.0)
-    score /= score.sum()
-    return int(rng.choice(candidates, p=score))
+            if candidates.size == 0:
+                candidates = np.setdiff1d(
+                    np.arange(world.num_cities), np.asarray([current_city])
+                )
+            score = world.popularity[candidates]
+        elif visited is not None and novelty_boost != 1.0:
+            score = score * np.where(visited[candidates], 1.0, novelty_boost)
+        return int(candidates[choice_draw(choice_cdf(score / score.sum()), rng)])
 
 
 def _choose_origin(
@@ -340,17 +455,18 @@ def _choose_origin(
         return current_city
     if len(options) == 1 or rng.random() >= profile.explore_origin_prob:
         return options[0]
-    prices = np.asarray([world.prices[o, destination] for o in options])
+    prices = world.prices[options, destination]
     finite = np.isfinite(prices)
-    if not finite.any():
-        return options[0]
-    prices = np.where(finite, prices, prices[finite].max() * 10)
+    if not finite.all():
+        if not finite.any():
+            return options[0]
+        prices = np.where(finite, prices, prices[finite].max() * 10)
     # Softmax over negative price: cheaper origins win most of the time.
     logits = -prices / 120.0
     logits -= logits.max()
     probs = np.exp(logits)
     probs /= probs.sum()
-    return int(options[int(rng.choice(len(options), p=probs))])
+    return int(options[choice_draw(choice_cdf(probs), rng)])
 
 
 def _simulate_bookings(
@@ -367,21 +483,22 @@ def _simulate_bookings(
     count = max(config.min_bookings,
                 int(rng.poisson(config.mean_bookings * profile.activity)))
     days = np.sort(rng.choice(config.history_days, size=count, replace=False))
+    destinations = _DestinationChoice(profile, world)
 
     bookings: list[BookingEvent] = []
     locations: list[int] = []
     location = profile.home_city
-    visited: set[int] = set()
+    visited = np.zeros(world.num_cities, dtype=bool)
     pending_return: ODPair | None = None
-    for day in days:
+    for day in days.tolist():
         locations.append(location)
         if pending_return is not None and rng.random() < profile.return_propensity:
             origin, destination = pending_return
             pending_return = None
         else:
-            destination = _choose_destination(
-                profile, world, location, int(day), rng,
-                visited=visited, novelty_boost=config.novelty_boost,
+            destination = destinations.choose(
+                location, day, rng, visited if bookings else None,
+                config.novelty_boost,
             )
             origin = _choose_origin(profile, world, location, destination, rng)
             # Going away from the home region sets up return-ticket demand.
@@ -394,11 +511,11 @@ def _simulate_bookings(
                 user_id=profile.user_id,
                 origin=int(origin),
                 destination=int(destination),
-                day=int(day),
+                day=day,
                 price=float(world.prices[origin, destination]),
             )
         )
-        visited.add(int(destination))
+        visited[destination] = True
         location = int(destination)
     return bookings, locations
 
@@ -406,6 +523,7 @@ def _simulate_bookings(
 def _generate_clicks(
     profile: UserProfile,
     world: CityWorld,
+    popularity: PopularityDraws,
     target: ODPair,
     day: int,
     config: FliggyConfig,
@@ -425,17 +543,18 @@ def _generate_clicks(
             destination = target.destination
             pool = [profile.home_city, *profile.nearby_origins]
             pool = [o for o in pool if o != destination]
-            origin = int(rng.choice(pool)) if pool else target.origin
+            origin = pool[rng.integers(len(pool))] if pool else target.origin
         elif r < c3:
             origin = target.origin
             patterns = sorted(world.cities[target.destination].patterns)
             members = world.cities_with_pattern(patterns[int(rng.integers(len(patterns)))])
             members = members[(members != origin)]
             destination = (
-                int(rng.choice(members)) if members.size else target.destination
+                int(members[rng.integers(members.size)])
+                if members.size else target.destination
             )
         else:
-            destination = int(rng.choice(world.num_cities, p=world.popularity))
+            destination = popularity.draw(rng)
             origin = profile.home_city
             if origin == destination:
                 destination = (destination + 1) % world.num_cities
@@ -462,6 +581,7 @@ def _make_decision_point(
     locations: list[int],
     index: int,
     world: CityWorld,
+    popularity: PopularityDraws,
     config: FliggyConfig,
     rng: np.random.Generator,
 ) -> DecisionPoint:
@@ -471,51 +591,29 @@ def _make_decision_point(
         user_id=profile.user_id,
         current_city=locations[index],
         bookings=list(bookings[:index]),
-        clicks=_generate_clicks(profile, world, target, booking.day, config, rng),
+        clicks=_generate_clicks(profile, world, popularity, target,
+                                booking.day, config, rng),
     )
     return DecisionPoint(history=history, target=target, day=booking.day)
 
 
-def _sample_negative_city(
-    world: CityWorld, exclude: int, rng: np.random.Generator
-) -> int:
-    """Popularity-weighted negative city != exclude (hard negatives).
-
-    The common case keeps the historical rejection loop (so existing
-    seeds reproduce the exact same datasets), but the two degenerate
-    worlds that used to spin forever are handled explicitly: a one-city
-    world raises a typed :class:`DegenerateWorldError`, and a popularity
-    vector whose entire mass sits on ``exclude`` renormalises over the
-    complement (the limit of the rejection loop) instead of rejecting
-    every draw.
-    """
-    if world.num_cities <= 1:
-        raise DegenerateWorldError(
-            "cannot sample a negative city: the world has "
-            f"{world.num_cities} city/cities and every candidate equals "
-            f"the excluded city {exclude}"
-        )
-    popularity = np.asarray(world.popularity, dtype=np.float64)
-    complement_mass = float(popularity.sum() - popularity[exclude])
-    if complement_mass <= 0.0:
-        # All popularity mass on the excluded city: the rejection loop
-        # would never terminate.  Renormalising over the complement
-        # degenerates to a uniform draw over every other city.
-        complement = np.delete(np.arange(world.num_cities), exclude)
-        return int(rng.choice(complement))
-    while True:
-        city = int(rng.choice(world.num_cities, p=world.popularity))
-        if city != exclude:
-            return city
-
-
 def _expand_samples(
     points: list[DecisionPoint],
-    world: CityWorld,
+    popularity: PopularityDraws,
     config: FliggyConfig,
     rng: np.random.Generator,
 ) -> list[Sample]:
-    """Expand decision points into Table I's labelled sample mix."""
+    """Expand decision points into Table I's labelled sample mix.
+
+    Every negative is one popularity draw != the positive city it
+    replaces; all of them are drawn in one batch, in sample order.
+    """
+    excludes: list[int] = []
+    for point in points:
+        o_pos, d_pos = point.target
+        excludes += [d_pos, o_pos] * config.partial_negatives
+        excludes += [o_pos, d_pos] * config.full_negatives
+    negatives = iter(popularity.negatives(excludes, rng))
     samples: list[Sample] = []
     for point in points:
         user = point.history.user_id
@@ -523,18 +621,13 @@ def _expand_samples(
         samples.append(Sample(user, o_pos, d_pos, 1, 1, point.day))
         for _ in range(config.partial_negatives):
             samples.append(
-                Sample(user, o_pos, _sample_negative_city(world, d_pos, rng),
-                       1, 0, point.day)
+                Sample(user, o_pos, next(negatives), 1, 0, point.day)
             )
             samples.append(
-                Sample(user, _sample_negative_city(world, o_pos, rng), d_pos,
-                       0, 1, point.day)
+                Sample(user, next(negatives), d_pos, 0, 1, point.day)
             )
         for _ in range(config.full_negatives):
             samples.append(
-                Sample(user,
-                       _sample_negative_city(world, o_pos, rng),
-                       _sample_negative_city(world, d_pos, rng),
-                       0, 0, point.day)
+                Sample(user, next(negatives), next(negatives), 0, 0, point.day)
             )
     return samples

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable
+from itertools import chain
+from typing import Iterable, Sequence
 
 import networkx as nx
 import numpy as np
@@ -40,14 +40,6 @@ class EdgeType(str, enum.Enum):
 
     DEPARTURE = "departure"
     ARRIVE = "arrive"
-
-
-@dataclass
-class _Adjacency:
-    """Weighted bipartite adjacency for one edge type."""
-
-    user_to_cities: list[Counter] = field(default_factory=list)
-    city_to_users: list[Counter] = field(default_factory=list)
 
 
 class HeterogeneousSpatialGraph:
@@ -89,11 +81,10 @@ class HeterogeneousSpatialGraph:
             )
         self.distance_matrix = distance_matrix
         self._spatial_weights: np.ndarray | None = None
-        self._adjacency: dict[EdgeType, _Adjacency] = {
-            edge_type: _Adjacency(
-                user_to_cities=[Counter() for _ in range(self.num_users)],
-                city_to_users=[Counter() for _ in range(self.num_cities)],
-            )
+        # Per edge type, per user, the cities interacted with (counts).
+        # City -> user lookups scan it: nothing on a hot path needs them.
+        self._user_cities: dict[EdgeType, list[Counter]] = {
+            edge_type: [Counter() for _ in range(self.num_users)]
             for edge_type in EdgeType
         }
         self._num_edges: Counter = Counter()
@@ -110,17 +101,37 @@ class HeterogeneousSpatialGraph:
         if weight <= 0:
             raise ValueError(f"edge weight must be positive, got {weight}")
         edge_type = EdgeType(edge_type)
-        adjacency = self._adjacency[edge_type]
-        adjacency.user_to_cities[user][city] += weight
-        adjacency.city_to_users[city][user] += weight
+        self._user_cities[edge_type][user][city] += weight
         self._num_edges[edge_type] += weight
 
     def add_edges(
-        self, edges: Iterable[tuple[int, int]], edge_type: EdgeType
+        self, edges: Sequence[tuple[int, int]] | np.ndarray, edge_type: EdgeType
     ) -> None:
-        """Bulk :meth:`add_edge` for an iterable of ``(user, city)`` pairs."""
-        for user, city in edges:
-            self.add_edge(user, city, edge_type)
+        """Bulk :meth:`add_edge` for ``(user, city)`` pairs, one
+        interaction each.
+
+        Every id is checked before any edge is added.  Each user's
+        :meth:`user_cities` ends as one :meth:`add_edge` per pair leaves it,
+        insertion order included.
+        """
+        edge_type = EdgeType(edge_type)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if not pairs.size:
+            return
+        for ids, check in ((pairs[:, 0], self._check_user),
+                           (pairs[:, 1], self._check_city)):
+            check(int(ids.min()))
+            check(int(ids.max()))
+        keys, first, counts = np.unique(
+            pairs[:, 0] * self.num_cities + pairs[:, 1],
+            return_index=True, return_counts=True,
+        )
+        order = np.argsort(first)
+        rows = self._user_cities[edge_type]
+        for key, count in zip(keys[order].tolist(), counts[order].tolist()):
+            user, city = divmod(key, self.num_cities)
+            rows[user][city] += count
+        self._num_edges[edge_type] += len(pairs)
 
     @classmethod
     def from_events(
@@ -136,9 +147,9 @@ class HeterogeneousSpatialGraph:
         edge to the destination, exactly the construction of Figure 2(a).
         """
         graph = cls(num_users, city_coordinates, distance_matrix)
-        for user, origin, destination in od_events:
-            graph.add_edge(user, origin, EdgeType.DEPARTURE)
-            graph.add_edge(user, destination, EdgeType.ARRIVE)
+        events = np.asarray(list(od_events), dtype=np.int64).reshape(-1, 3)
+        graph.add_edges(events[:, [0, 1]], EdgeType.DEPARTURE)
+        graph.add_edges(events[:, [0, 2]], EdgeType.ARRIVE)
         return graph
 
     # ------------------------------------------------------------------
@@ -159,12 +170,33 @@ class HeterogeneousSpatialGraph:
     def user_cities(self, user: int, edge_type: EdgeType) -> Counter:
         """Cities interacted with by ``user`` via ``edge_type`` (with counts)."""
         self._check_user(user)
-        return self._adjacency[EdgeType(edge_type)].user_to_cities[user]
+        return self._user_cities[EdgeType(edge_type)][user]
 
     def city_users(self, city: int, edge_type: EdgeType) -> Counter:
-        """Users who interacted with ``city`` via ``edge_type`` (with counts)."""
+        """Users who interacted with ``city`` via ``edge_type`` (with counts),
+        by a scan over every user."""
         self._check_city(city)
-        return self._adjacency[EdgeType(edge_type)].city_to_users[city]
+        return Counter({
+            user: cities[city]
+            for user, cities in enumerate(self._user_cities[EdgeType(edge_type)])
+            if city in cities
+        })
+
+    def interactions(
+        self, edge_type: EdgeType
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(users, cities, counts)``: one entry per interacting (user,
+        city) pair of ``edge_type``, users ascending — every
+        :meth:`user_cities` as arrays."""
+        rows = self._user_cities[EdgeType(edge_type)]
+        sizes = [len(row) for row in rows]
+        total = sum(sizes)
+        users = np.repeat(np.arange(self.num_users), sizes)
+        cities = np.fromiter(chain.from_iterable(rows), np.int64, total)
+        counts = np.fromiter(
+            chain.from_iterable(row.values() for row in rows), np.int64, total
+        )
+        return users, cities, counts
 
     def metapath_neighbor_cities(
         self, node_type: NodeType, node_id: int, edge_type: EdgeType
@@ -225,8 +257,8 @@ class HeterogeneousSpatialGraph:
                 lon=float(self.city_coordinates[city, 0]),
                 lat=float(self.city_coordinates[city, 1]),
             )
-        for edge_type, adjacency in self._adjacency.items():
-            for user, cities in enumerate(adjacency.user_to_cities):
+        for edge_type, rows in self._user_cities.items():
+            for user, cities in enumerate(rows):
                 for city, weight in cities.items():
                     graph.add_edge(
                         ("user", user),

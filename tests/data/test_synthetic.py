@@ -1,16 +1,25 @@
 """The Fliggy behavioural simulator: Table I structure and planted signals."""
 
+import contextlib
 import dataclasses
+import signal
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.data import DegenerateWorldError, FliggyConfig, generate_fliggy_dataset
+from repro.data import (
+    DegenerateWorldError,
+    FliggyConfig,
+    LbsnConfig,
+    ODDataset,
+    generate_fliggy_dataset,
+    generate_lbsn_dataset,
+)
 from repro.data.schema import ODPair, SampleKind
 from repro.data.synthetic import (
+    PopularityDraws,
     _generate_clicks,
-    _sample_negative_city,
     _sample_profile,
 )
 from repro.data.world import WorldConfig, generate_city_world
@@ -183,11 +192,13 @@ class TestClickDayClamp:
         config = FliggyConfig(num_users=1, world=WorldConfig(num_cities=20),
                               seed=3)
         rng = np.random.default_rng(3)
-        profile = _sample_profile(0, world, config, rng)
+        popularity = PopularityDraws(world.popularity)
+        profile = _sample_profile(0, world, popularity, config, rng)
         # Day 1 guarantees every raw click day (1 - offset, offset >= 1)
         # is <= 0, so the clamp is exercised on every click.
         clicks = _generate_clicks(
-            profile, world, ODPair(0, 1), day=1, config=config, rng=rng
+            profile, world, popularity, ODPair(0, 1), day=1, config=config,
+            rng=rng,
         )
         assert clicks
         assert all(c.day == 0 for c in clicks)
@@ -200,10 +211,26 @@ class TestClickDayClamp:
                 assert click.day >= 0
 
 
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Turn a sampler that spins forever into a failing test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still sampling after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestDegenerateNegativeSampling:
-    """_sample_negative_city must terminate on worlds where the
-    rejection loop used to spin forever, without changing the draws on
-    healthy worlds (pinned datasets)."""
+    """The one negative sampler (``PopularityDraws.negatives``) must
+    terminate on worlds where the rejection loop used to spin forever,
+    without changing the draws on healthy worlds (pinned datasets), and
+    so must every generator that draws negatives through it."""
 
     @pytest.fixture(scope="class")
     def world(self):
@@ -211,21 +238,18 @@ class TestDegenerateNegativeSampling:
             WorldConfig(num_cities=10), np.random.default_rng(5)
         )
 
-    def test_one_city_world_raises_typed_error(self, world):
-        tiny = dataclasses.replace(world, cities=world.cities[:1])
+    def test_one_city_world_raises_typed_error(self):
         with pytest.raises(DegenerateWorldError, match="negative city"):
-            _sample_negative_city(tiny, 0, np.random.default_rng(0))
+            PopularityDraws(np.ones(1)).negative(0, np.random.default_rng(0))
         # The typed error is still a ValueError for generic handlers.
         assert issubclass(DegenerateWorldError, ValueError)
 
     def test_all_mass_on_excluded_city_renormalises(self, world):
         popularity = np.zeros(world.num_cities)
         popularity[4] = 1.0
-        spiked = dataclasses.replace(world, popularity=popularity)
+        spiked = PopularityDraws(popularity)
         rng = np.random.default_rng(1)
-        drawn = {
-            _sample_negative_city(spiked, 4, rng) for _ in range(200)
-        }
+        drawn = {spiked.negative(4, rng) for _ in range(200)}
         assert 4 not in drawn
         # Uniform over the complement: every other city is reachable.
         assert drawn == set(range(world.num_cities)) - {4}
@@ -234,6 +258,7 @@ class TestDegenerateNegativeSampling:
         """The guarded path must consume exactly the draws of the bare
         rejection loop, or every pinned dataset silently changes."""
         exclude = 2
+        draws = PopularityDraws(world.popularity)
         for seed in range(5):
             reference_rng = np.random.default_rng(seed)
             while True:
@@ -243,9 +268,50 @@ class TestDegenerateNegativeSampling:
                 if expected != exclude:
                     break
             rng = np.random.default_rng(seed)
-            assert _sample_negative_city(world, exclude, rng) == expected
+            assert draws.negative(exclude, rng) == expected
             # Both consumed the same number of draws.
             assert rng.integers(1 << 30) == reference_rng.integers(1 << 30)
+
+    @pytest.mark.parametrize("hard_negatives", [False, True])
+    def test_ranking_tasks_terminate_on_a_spiked_world(self, hard_negatives):
+        """Every distractor draw, hard or random, on a world whose whole
+        popularity sits on the city most targets touch."""
+        source = generate_fliggy_dataset(FliggyConfig(
+            num_users=40, world=WorldConfig(num_cities=4), seed=3))
+        targets = Counter(
+            city for point in source.test_points for city in point.target)
+        spike = targets.most_common(1)[0][0]
+        popularity = np.zeros(source.num_cities)
+        popularity[spike] = 1.0
+        spiked = dataclasses.replace(
+            source, world=dataclasses.replace(source.world,
+                                              popularity=popularity))
+        with _deadline(20.0):
+            tasks = ODDataset(spiked).ranking_tasks(
+                num_candidates=4, hard_negatives=hard_negatives)
+        assert len(tasks) == len(source.test_points)
+        for task in tasks:
+            assert task.candidates[task.true_index] == task.point.target
+
+    def test_lbsn_generation_terminates_on_a_spiked_world(self):
+        """``popularity_alpha`` this large overflows every rank but the
+        first, leaving all the mass on one POI: every home is that POI,
+        and every move away from it and every negative excluding it has no
+        popularity to draw by."""
+        config = LbsnConfig(num_users=30, num_pois=12,
+                            popularity_alpha=2000.0, seed=4)
+        with _deadline(20.0), np.errstate(over="ignore"):
+            dataset = generate_lbsn_dataset(config)
+        (spike,) = np.flatnonzero(dataset.world.popularity)
+        assert {p.home_city for p in dataset.profiles} == {spike}
+        samples = dataset.train_samples + dataset.test_samples
+        positive = {(s.user_id, s.day): s.destination
+                    for s in samples if s.label_d}
+        assert spike in positive.values()
+        for sample in samples:
+            if not sample.label_d:
+                assert sample.destination != positive[sample.user_id,
+                                                      sample.day]
 
 
 class TestAccessors:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph import EdgeType, HeterogeneousSpatialGraph, NodeType
 
@@ -68,6 +69,36 @@ class TestConstruction:
 
     def test_repr_mentions_counts(self):
         assert "departure_edges=4" in repr(_small_graph())
+
+    @given(edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 7)),
+                          max_size=80))
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    def test_bulk_edges_are_one_add_edge_each(self, edges):
+        """Same counts, same totals, same insertion order of every
+        user's Counter as one ``add_edge`` per pair."""
+        coords = np.zeros((8, 2))
+        coords[:, 0] = np.arange(8)
+        bulk = HeterogeneousSpatialGraph(6, coords)
+        bulk.add_edges(edges, EdgeType.ARRIVE)
+        one_by_one = HeterogeneousSpatialGraph(6, coords)
+        for user, city in edges:
+            one_by_one.add_edge(user, city, EdgeType.ARRIVE)
+        assert bulk.num_edges(EdgeType.ARRIVE) == len(edges)
+        for user in range(6):
+            assert (list(bulk.user_cities(user, EdgeType.ARRIVE).items())
+                    == list(one_by_one.user_cities(user, EdgeType.ARRIVE).items()))
+        for city in range(8):
+            assert (bulk.city_users(city, EdgeType.ARRIVE)
+                    == one_by_one.city_users(city, EdgeType.ARRIVE))
+
+    def test_bulk_edges_check_every_id_first(self):
+        g = _small_graph()
+        with pytest.raises(IndexError):
+            g.add_edges([(0, 2), (0, 99)], EdgeType.ARRIVE)
+        with pytest.raises(IndexError):
+            g.add_edges(np.array([[-1, 0]]), EdgeType.ARRIVE)
+        assert g.num_edges(EdgeType.ARRIVE) == 3
+        assert 2 not in g.user_cities(0, EdgeType.ARRIVE)
 
 
 class TestQueries:

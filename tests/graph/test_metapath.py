@@ -8,6 +8,7 @@ from repro.graph import (
     EdgeType,
     HeterogeneousSpatialGraph,
     Metapath,
+    NodeType,
     build_neighbor_table,
 )
 
@@ -80,6 +81,35 @@ class TestNeighborTable:
         assert table.user_neighbors.min() >= 0
         assert table.user_neighbors.max() < g.num_cities
         assert table.city_neighbors.max() < g.num_cities
+
+    @given(
+        edges=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 8),
+                                 st.integers(1, 4)), max_size=60),
+        cap=st.integers(1, 11),
+    )
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_tables_are_the_counter_reference(self, edges, cap):
+        """Counts by array and paths by GEMM pick exactly the neighbours
+        the per-node ``Counter``s rank by (-count, id), padding included."""
+        coords = np.zeros((9, 2))
+        coords[:, 0] = np.arange(9)
+        g = HeterogeneousSpatialGraph(7, coords)
+        for user, city, weight in edges:
+            g.add_edge(user, city, EdgeType.DEPARTURE, weight=weight)
+        table = build_neighbor_table(g, Metapath.origin_aware(), cap)
+        for node_type, neighbors, mask in (
+            (NodeType.USER, table.user_neighbors, table.user_mask),
+            (NodeType.CITY, table.city_neighbors, table.city_mask),
+        ):
+            for node in range(neighbors.shape[0]):
+                counter = g.metapath_neighbor_cities(
+                    node_type, node, EdgeType.DEPARTURE)
+                ranked = sorted(counter.items(), key=lambda c: (-c[1], c[0]))
+                expected = [city for city, _ in ranked[:cap]]
+                assert mask[node].tolist() == (
+                    [True] * len(expected) + [False] * (cap - len(expected)))
+                assert neighbors[node].tolist() == (
+                    expected + [0] * (cap - len(expected)))
 
     @given(seed=st.integers(0, 200), cap=st.integers(1, 7))
     @settings(max_examples=20, deadline=None)
