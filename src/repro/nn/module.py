@@ -144,13 +144,16 @@ class Module:
                 f"state dict mismatch: missing={sorted(missing)}, "
                 f"unexpected={sorted(unexpected)}"
             )
+        # Check every shape before binding anything: a rejected state
+        # must leave the model exactly as it was, never half-loaded.
         for name, param in own.items():
             if param.data.shape != state[name].shape:
                 raise ValueError(
                     f"shape mismatch for {name}: "
                     f"{param.data.shape} vs {state[name].shape}"
                 )
-            param.data = state[name].astype(np.float64).copy()
+        for name, param in own.items():
+            param.data = np.array(state[name], dtype=np.float64)
             param.bump_version()
 
     # ------------------------------------------------------------------

@@ -8,7 +8,7 @@ publisher crashes.  The protocol is the classic two-phase publish:
 1. **Write phase** — the full ``state_dict`` is serialised to a temp
    file *in the target directory*, flushed, and fsync'd, then
    ``os.replace``d to its immutable versioned name
-   (``v00000042.npz``).  A crash anywhere in this phase leaves a stale
+   (``v00000042.snap``).  A crash anywhere in this phase leaves a stale
    ``*.tmp`` file that no pointer references — invisible to readers,
    swept by the publisher on its next publish (readers never mutate
    the store directory, so opening a store for reading can never race
@@ -26,6 +26,28 @@ so an orphaned pre-flip snapshot can never be re-used for a different
 payload, and the flip refuses to move backwards — serving version only
 ever goes forward.
 
+A snapshot file is flat, so a reader loads it with one read into one
+buffer and hands out views of that buffer:
+
+* a fixed 24-byte prefix — magic ``ODNSNAP1``, the JSON header's
+  length (``uint32``), the body's length (``uint64``) and a CRC32 over
+  the JSON header and the body, little-endian;
+* a JSON header — ``{"metadata": ..., "params": [...]}``, the
+  publisher's metadata plus each parameter's name, dtype string, shape,
+  offset into the body and length in bytes, space-padded so the body
+  starts 8-byte aligned;
+* the body — every array's bytes in C order, each at an 8-byte-aligned
+  offset, written straight from the arrays' own buffers.
+
+A file whose magic, lengths or checksum disagree raises
+:class:`SnapshotError`, never a partial state.
+:meth:`SnapshotStore.load_metadata` reads the prefix and the JSON
+header only.  Versions written before this format are
+``v00000042.npz`` archives (one member per parameter plus a JSON
+metadata member).  Published snapshots are durable data and readers
+never rewrite the store, so those still load through one read branch
+on the suffix; nothing writes them any more.
+
 Chaos sites (:func:`repro.resilience.chaos.inject`), one per stage the
 crash matrix drills: ``online.publish.pre_write``,
 ``online.publish.mid_write`` (payload written, not yet durable),
@@ -36,8 +58,11 @@ crash matrix drills: ``online.publish.pre_write``,
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import struct
 import time
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +75,14 @@ __all__ = ["SnapshotError", "SnapshotInfo", "Snapshot", "SnapshotStore"]
 
 _META_KEY = "__snapshot_meta__"
 _POINTER = "CURRENT"
+_SUFFIX = ".snap"
+_LEGACY_SUFFIX = ".npz"
+#: magic, JSON header length, body length, CRC32(JSON header + body).
+_PREFIX = struct.Struct("<8sIQI")
+_MAGIC = b"ODNSNAP1"
+_ALIGN = 8
+#: Linux's (and macOS's) cap on buffers per ``writev`` call.
+_IOV_MAX = 1024
 
 
 class SnapshotError(RuntimeError):
@@ -144,57 +177,38 @@ class SnapshotStore:
                 info.path, info.version, info.published_unix
             )
         else:
-            path = self.directory / self._file_name(version)
+            path = self._path(version)
             published = 0.0
-        try:
-            with np.load(path) as archive:
-                payload = {key: archive[key] for key in archive.files}
-        except FileNotFoundError:
-            raise SnapshotError(f"snapshot v{version} not found at {path}")
-        except (OSError, ValueError, KeyError, EOFError) as exc:
-            raise SnapshotError(
-                f"snapshot {path} is truncated or corrupt: {exc}"
-            ) from exc
-        meta_bytes = payload.pop(_META_KEY, None)
-        metadata: dict = {}
-        if meta_bytes is not None:
-            try:
-                metadata = json.loads(bytes(meta_bytes.tobytes()).decode())
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise SnapshotError(
-                    f"snapshot {path} has corrupt metadata: {exc}"
-                ) from exc
+        state, metadata = self._read(version, path, _read_flat)
         if not published:
             published = float(metadata.get("published_unix", 0.0))
         return Snapshot(
-            version=version, state=payload,
+            version=version, state=state,
             metadata=metadata, published_unix=published,
         )
 
     def load_metadata(self, version: int) -> dict:
         """One snapshot's publisher metadata, without loading the weights.
 
-        ``np.load`` reads archive members lazily, so this pulls only the
-        tiny metadata entry — cheap enough to call for every version a
-        slow follower skipped.
+        Reads the prefix and the JSON header only — cheap enough to call
+        for every version a slow follower skipped.
         """
-        path = self.directory / self._file_name(version)
+        return self._read(version, self._path(version), _read_flat_metadata)[1]
+
+    @staticmethod
+    def _read(version: int, path: pathlib.Path, read_flat):
+        """``(state, metadata)``: ``read_flat(path)`` for a flat file,
+        ``np.load`` for a legacy ``.npz``; a missing or unreadable file
+        is a :class:`SnapshotError`."""
         try:
-            with np.load(path) as archive:
-                if _META_KEY not in archive.files:
-                    return {}
-                meta_bytes = archive[_META_KEY]
+            if path.suffix == _LEGACY_SUFFIX:
+                return _read_npz(path)
+            return read_flat(path)
         except FileNotFoundError:
             raise SnapshotError(f"snapshot v{version} not found at {path}")
-        except (OSError, ValueError, KeyError, EOFError) as exc:
+        except OSError as exc:
             raise SnapshotError(
                 f"snapshot {path} is truncated or corrupt: {exc}"
-            ) from exc
-        try:
-            return json.loads(bytes(meta_bytes.tobytes()).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise SnapshotError(
-                f"snapshot {path} has corrupt metadata: {exc}"
             ) from exc
 
     def touched_union(
@@ -232,26 +246,38 @@ class SnapshotStore:
 
     def versions(self) -> list[int]:
         """Every durable snapshot version on disk, ascending."""
-        found = []
-        for path in self.directory.glob("v*.npz"):
+        return sorted(self._files())
+
+    def _files(self) -> dict[int, pathlib.Path]:
+        """Version → file, flat and legacy alike."""
+        found = {}
+        for path in self.directory.glob("v*"):
+            if path.suffix not in (_SUFFIX, _LEGACY_SUFFIX):
+                continue
             try:
-                found.append(int(path.stem[1:]))
+                found[int(path.stem[1:])] = path
             except ValueError:
                 continue
-        return sorted(found)
+        return found
+
+    def _path(self, version: int) -> pathlib.Path:
+        """Where ``version`` lives: its flat file, else a legacy ``.npz``."""
+        path = self.directory / self._file_name(version)
+        legacy = path.with_suffix(_LEGACY_SUFFIX)
+        return legacy if not path.exists() and legacy.exists() else path
 
     # ------------------------------------------------------------------
     # Publishing
     # ------------------------------------------------------------------
     @staticmethod
     def _file_name(version: int) -> str:
-        return f"v{version:08d}.npz"
+        return f"v{version:08d}{_SUFFIX}"
 
     def _next_version(self) -> int:
-        # Max over the pointer AND the files: a pre-flip crash leaves a
-        # durable-but-unreferenced vN — its name must never be re-used
-        # for different bytes, or a concurrent reader could load a
-        # mixed-history table.
+        # Max over the pointer AND the files (either format): a pre-flip
+        # crash leaves a durable-but-unreferenced vN — its name must
+        # never be re-used for different bytes, or a concurrent reader
+        # could load a mixed-history table.
         on_disk = self.versions()
         highest = on_disk[-1] if on_disk else 0
         return max(self.current_version(), highest) + 1
@@ -277,16 +303,12 @@ class SnapshotStore:
         meta["published_unix"] = published_unix
         if _META_KEY in state:
             raise ValueError(f"parameter name {_META_KEY!r} is reserved")
-        payload = dict(state)
-        payload[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
+        chunks = _flat_chunks(state, meta)
         target = self.directory / self._file_name(version)
 
         # --- phase 1: write-all, fsync, rename to the immutable name --
         with atomic_write(target) as handle:
-            np.savez(handle, **payload)
-            handle.flush()
+            _write_all(handle.fileno(), chunks)
             # Payload bytes written but not yet durable nor named: a
             # crash here is the canonical torn write.
             inject("online.publish.mid_write")
@@ -326,10 +348,153 @@ class SnapshotStore:
         """Drop old immutable snapshots; never the current one."""
         if keep_last < 1:
             keep_last = 1
-        for version in self.versions()[:-keep_last]:
+        files = self._files()
+        for version in sorted(files)[:-keep_last]:
             if version == current:
                 continue
             try:
-                (self.directory / self._file_name(version)).unlink()
+                files[version].unlink()
             except OSError:
                 pass
+
+
+# ----------------------------------------------------------------------
+# The flat file
+# ----------------------------------------------------------------------
+def _flat_chunks(state: dict[str, np.ndarray], meta: dict) -> list:
+    """The flat file as buffers to write in order: the prefix, the JSON
+    header, then each array's own bytes (copied only when the array is
+    not C-contiguous) behind zero padding to its aligned offset."""
+    params, body, offset = [], [], 0
+    for name, value in state.items():
+        array = np.asarray(value)
+        dtype = array.dtype
+        # Object arrays would need pickling, and a structured dtype's
+        # string drops its fields: neither survives the header.
+        if dtype.hasobject or np.dtype(dtype.str) != dtype:
+            raise ValueError(
+                f"parameter {name!r} has dtype {dtype}, which a snapshot "
+                f"cannot hold"
+            )
+        raw = np.ascontiguousarray(array).reshape(-1).view(np.uint8)
+        pad = -offset % _ALIGN
+        if pad:
+            body.append(bytes(pad))
+            offset += pad
+        params.append({
+            "name": name, "dtype": dtype.str, "shape": list(array.shape),
+            "offset": offset, "nbytes": raw.nbytes,
+        })
+        body.append(raw)
+        offset += raw.nbytes
+    header = json.dumps({"metadata": meta, "params": params}).encode("utf-8")
+    header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
+    crc = zlib.crc32(header)
+    for chunk in body:
+        crc = zlib.crc32(chunk, crc)
+    return [_PREFIX.pack(_MAGIC, len(header), offset, crc), header, *body]
+
+
+def _write_all(fd: int, chunks: list) -> None:
+    """Write every chunk to ``fd`` in order: one ``writev`` per
+    :data:`_IOV_MAX` chunks, resumed after a short write."""
+    views = [memoryview(chunk) for chunk in chunks if len(chunk)]
+    while views:
+        written = os.writev(fd, views[:_IOV_MAX])
+        done = 0
+        while done < len(views) and written >= len(views[done]):
+            written -= len(views[done])
+            done += 1
+        views = views[done:]
+        if written:
+            views[0] = views[0][written:]
+
+
+def _check_prefix(prefix, size: int, path) -> tuple[int, int, int]:
+    """``(header_len, body_len, crc)`` once the magic and the lengths
+    agree with a file of ``size`` bytes."""
+    if size < _PREFIX.size:
+        raise SnapshotError(f"snapshot {path} is truncated: {size} bytes")
+    magic, header_len, body_len, crc = _PREFIX.unpack_from(prefix)
+    if magic != _MAGIC:
+        raise SnapshotError(f"{path} is not a snapshot file: magic {magic!r}")
+    if _PREFIX.size + header_len + body_len != size:
+        raise SnapshotError(
+            f"snapshot {path} is truncated or corrupt: {size} bytes on "
+            f"disk, its prefix describes "
+            f"{_PREFIX.size + header_len + body_len}"
+        )
+    return header_len, body_len, crc
+
+
+def _decode_header(raw, path) -> tuple[list, dict]:
+    """The JSON header's ``(params, metadata)``."""
+    try:
+        header = json.loads(bytes(raw))
+        return header["params"], header["metadata"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise SnapshotError(
+            f"snapshot {path} has a corrupt header: {exc}"
+        ) from exc
+
+
+def _read_flat(path: pathlib.Path) -> tuple[dict, dict]:
+    """One ``readinto`` of the whole file, the length and checksum
+    checks, then one view into that buffer per parameter."""
+    with open(path, "rb", buffering=0) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        buffer = np.empty(size, dtype=np.uint8)
+        read = handle.readinto(buffer)
+    if read != size:
+        raise SnapshotError(
+            f"snapshot {path} is truncated: read {read} of {size} bytes"
+        )
+    header_len, body_len, crc = _check_prefix(buffer, size, path)
+    body = _PREFIX.size + header_len
+    if zlib.crc32(buffer[_PREFIX.size:body + body_len]) != crc:
+        raise SnapshotError(f"snapshot {path} fails its checksum")
+    params, metadata = _decode_header(buffer[_PREFIX.size:body], path)
+    state = {}
+    try:
+        for entry in params:
+            start = body + entry["offset"]
+            state[entry["name"]] = buffer[start:start + entry["nbytes"]].view(
+                np.dtype(entry["dtype"])
+            ).reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(
+            f"snapshot {path} has a corrupt header: {exc}"
+        ) from exc
+    return state, metadata
+
+
+def _read_flat_metadata(path: pathlib.Path) -> tuple[dict, dict]:
+    """The prefix and the JSON header only; no weights, no checksum."""
+    with open(path, "rb", buffering=0) as handle:
+        size = os.fstat(handle.fileno()).st_size
+        header_len, _, _ = _check_prefix(
+            handle.read(_PREFIX.size), size, path
+        )
+        _, metadata = _decode_header(handle.read(header_len), path)
+    return {}, metadata
+
+
+def _read_npz(path: pathlib.Path) -> tuple[dict, dict]:
+    """A legacy ``.npz`` snapshot: one member per parameter plus the
+    JSON metadata member."""
+    try:
+        with np.load(path) as archive:
+            state = {key: archive[key] for key in archive.files}
+    except (ValueError, KeyError, EOFError) as exc:
+        raise SnapshotError(
+            f"snapshot {path} is truncated or corrupt: {exc}"
+        ) from exc
+    meta_bytes = state.pop(_META_KEY, None)
+    if meta_bytes is None:
+        return state, {}
+    try:
+        return state, json.loads(bytes(meta_bytes.tobytes()).decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotError(
+            f"snapshot {path} has corrupt metadata: {exc}"
+        ) from exc

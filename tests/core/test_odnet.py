@@ -452,3 +452,28 @@ class TestPublishedSnapshotsStillLoad:
             scores, model.score_pairs(_without_layout(batch)),
             rtol=0.0, atol=1e-12,
         )
+
+
+class TestRejectedSwap:
+    def test_session_scores_the_old_state_without_a_rebuild(self):
+        dataset, model = _fixture_model()
+        session = model.freeze()
+        point = dataset.source.test_points[0]
+        batch = dataset.batch_for_candidates(
+            point, _pairs([0, 1, 2], [3, 4, 5, 6])
+        )
+        before = session.score_pairs(batch)
+        misses = session.misses
+        # Every parameter moves, and the last one bound has the wrong
+        # shape: a load that binds as it checks would leave the model
+        # serving a blend of the two versions.
+        state = {name: value + 0.5
+                 for name, value in model.state_dict().items()}
+        last = list(state)[-1]
+        assert last == "joint.towers.1.layers.1.bias"
+        state[last] = np.zeros(state[last].size + 1)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            session.swap(state)
+        after = session.score_pairs(batch)
+        assert session.misses == misses
+        assert after.tobytes() == before.tobytes()

@@ -80,6 +80,30 @@ class TestStateDict:
         with pytest.raises(ValueError):
             net.load_state_dict(state)
 
+    def test_rejected_state_binds_nothing(self, rng):
+        net = _Net(rng)
+        before = {name: (param.data, param.version)
+                  for name, param in net.named_parameters()}
+        state = {name: value + 1.0 for name, value in net.state_dict().items()}
+        state[list(state)[-1]] = np.ones(7)  # the last parameter bound
+        with pytest.raises(ValueError, match="shape mismatch"):
+            net.load_state_dict(state)
+        for name, param in net.named_parameters():
+            assert param.data is before[name][0]
+            assert param.version == before[name][1]
+
+    def test_load_binds_one_float64_copy(self, rng):
+        # A loaded snapshot's arrays are views of one read buffer: the
+        # model must own native float64 copies, never alias them.
+        net = _Net(rng)
+        state = net.state_dict()
+        state["scale"] = np.array([3.0], dtype=">f8")
+        net.load_state_dict(state)
+        assert net.scale.data.dtype == np.float64
+        assert net.scale.data.dtype.isnative
+        assert not np.shares_memory(net.scale.data, state["scale"])
+        np.testing.assert_array_equal(net.scale.data, [3.0])
+
 
 class TestModes:
     def test_train_eval_propagates(self, rng):
