@@ -30,7 +30,6 @@ class ClusterConfig:
     num_users: int = 1200
     num_cities: int = 60
     seed: int = 0
-    use_cache: bool = True
     #: directory of a :class:`repro.online.SnapshotStore`.  When set,
     #: workers overlay the latest *published* snapshot onto their
     #: deterministic seed weights at build time and again on every

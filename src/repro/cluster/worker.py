@@ -14,8 +14,7 @@ identical, so any worker can answer for any user), wraps it in a guarded
   request (surfaced as an ``admission:draining`` fallback event).
 - ``health`` — lifecycle state + the worker-labelled counter
   snapshot the gateway aggregates.
-- ``drain`` — graceful drain (stop admitting, flush the
-  micro-batch pool, finish in-flight).
+- ``drain`` — graceful drain (stop admitting, finish in-flight).
 - ``reload`` — the model-push swap: drain if still
   admitting, bump the model version, then install a **fresh** guard
   (a drained lifecycle is terminal by design) and admit again.
@@ -87,7 +86,6 @@ def _build_recommender(config: ClusterConfig, worker_id: int):
     return FlightRecommender(
         model,
         dataset,
-        use_cache=config.use_cache,
         guard=_guard_config(config, worker_id),
     )
 

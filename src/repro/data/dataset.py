@@ -704,9 +704,10 @@ class ODDataset:
     ) -> ODBatch:
         """Encode several (decision point, candidates) requests as ONE batch.
 
-        The serving micro-batching layer coalesces concurrent requests
-        into a single model forward; rows are laid out request by request
-        in order, so the caller can split the score vector back with the
+        Serving encodes one request per call (:meth:`batch_for_candidates`);
+        the online trainer, the shadow evaluator and the drills score
+        several points at once.  Rows are laid out request by request in
+        order, so the caller can split the score vector back with the
         per-request candidate counts.  The batch carries the segment
         layout (``point_rows`` / ``first_rows``) so point-aware models can
         deduplicate per-history work across a request's candidates.

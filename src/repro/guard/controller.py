@@ -168,7 +168,7 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Stop admitting, flush hooks, finish in-flight; see
+        """Stop admitting, finish in-flight; see
         :meth:`ServerLifecycle.drain`."""
         return self.lifecycle.drain(timeout_s)
 

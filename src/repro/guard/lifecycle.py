@@ -3,9 +3,8 @@
 A serving process moves ``STARTING -> READY -> DRAINING -> DRAINED``.
 Readiness gates admission (a load balancer would pull a non-ready
 replica); :meth:`ServerLifecycle.drain` is the graceful-shutdown story —
-stop admitting, run the registered flush hooks (the micro-batch queue
-must not strand pooled requests), wait for every in-flight request to
-complete, and only then report drained.  In-flight accounting is exact:
+stop admitting, wait for every in-flight request to complete, and only
+then report drained.  In-flight accounting is exact:
 ``request_started`` refuses new work atomically once draining begins, so
 there is no window where a request slips in after the drain decision.
 """
@@ -38,8 +37,6 @@ class ServerLifecycle:
         self._cond = threading.Condition()
         self._state = STARTING
         self._in_flight = 0
-        self._flush_hooks: list[Callable[[], object]] = []
-        self._flushed = False
 
     # ------------------------------------------------------------------
     @property
@@ -76,11 +73,6 @@ class ServerLifecycle:
                 raise RuntimeError(f"cannot mark a {self._state} server ready")
             self._state = READY
 
-    def add_flush_hook(self, hook: Callable[[], object]) -> None:
-        """Register a callable drain must run before waiting (e.g. the
-        micro-batcher's ``flush``)."""
-        self._flush_hooks.append(hook)
-
     # ------------------------------------------------------------------
     def request_started(self, priority=None) -> None:
         """Count a request in; atomic with the drain decision."""
@@ -103,7 +95,7 @@ class ServerLifecycle:
 
     # ------------------------------------------------------------------
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Gracefully stop: refuse new work, flush, finish in-flight.
+        """Gracefully stop: refuse new work, finish in-flight.
 
         Returns ``True`` once every in-flight request completed (state
         ``DRAINED``), ``False`` if ``timeout_s`` elapsed first (state
@@ -114,15 +106,9 @@ class ServerLifecycle:
             if self._state == DRAINED:
                 return True
             self._state = DRAINING
-            # Concurrent or repeated drain() calls must not flush twice;
-            # the first caller owns the hooks, everyone else just waits.
-            run_hooks = not self._flushed
-            self._flushed = True
-        if run_hooks:
-            for hook in self._flush_hooks:
-                hook()
-        deadline_s = None if timeout_s is None else self._clock() + timeout_s
-        with self._cond:
+            deadline_s = (
+                None if timeout_s is None else self._clock() + timeout_s
+            )
             while self._in_flight > 0:
                 if deadline_s is None:
                     self._cond.wait()

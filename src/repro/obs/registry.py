@@ -54,8 +54,8 @@ class Counter:
     """A monotonically increasing count (requests served, bytes pushed).
 
     Updates are locked: ``+=`` is a read-modify-write, and concurrent
-    serving (micro-batching, the guard's overload scenarios) increments
-    shared counters from many threads at once.
+    serving (a worker's request threads, the guard's overload scenarios)
+    increments shared counters from many threads at once.
     """
 
     __slots__ = ("name", "labels", "value", "_lock")

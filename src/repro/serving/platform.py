@@ -10,10 +10,9 @@ This is the main end-to-end public API of the reproduction:
 >>> recommender = FlightRecommender(model, dataset)           # doctest: +SKIP
 >>> response = recommender.recommend(user_id=7, day=720, k=5) # doctest: +SKIP
 
-There is one request pipeline: ``recommend`` is ``recommend_many`` of
-one.  Both entry points only check arguments and admit the call, then
-run the same stages — features and recall per request, ONE rank stage
-per call, one finish — so everything below holds for either.
+There is one request pipeline and it serves one request per call:
+``recommend`` checks its arguments and admits the request, then runs
+features, recall, rank and one finish.
 
 Every request is observable (see :mod:`repro.obs`): under an active
 :class:`~repro.obs.tracing.Tracer` the stages emit nested ``features`` /
@@ -38,7 +37,7 @@ pressure are refused with a typed
 a degraded popularity-ranked response (``admission:*`` fallback events).
 Shed happens *before* work starts; the resilience ladder fires *after*
 work fails.  :meth:`FlightRecommender.drain` is the graceful-shutdown
-path: stop admitting, flush the micro-batcher, finish in-flight.
+path: stop admitting, finish in-flight.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from ..guard import (
 from ..obs.profiler import Profiler
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
-from ..perf.microbatch import MicroBatchConfig, MicroBatcher
 from ..resilience import (
     CircuitBreaker,
     Deadline,
@@ -126,8 +124,6 @@ class FlightRecommender:
         recall_config: RecallConfig | None = None,
         profiler: Profiler | None = None,
         resilience: ServingResilienceConfig | None = None,
-        use_cache: bool = True,
-        microbatch: MicroBatchConfig | None = None,
         guard: GuardConfig | AdmissionController | None = None,
     ):
         self.dataset = dataset
@@ -137,7 +133,7 @@ class FlightRecommender:
             dataset.route_popularity,
             recall_config,
         )
-        self.ranking = RankingService(model, dataset, use_cache=use_cache)
+        self.ranking = RankingService(model, dataset)
         self.profiler = profiler
         self.resilience = resilience or ServingResilienceConfig()
         self.rank_breaker = CircuitBreaker(
@@ -147,11 +143,6 @@ class FlightRecommender:
             min_calls=self.resilience.breaker_min_calls,
             recovery_s=self.resilience.breaker_recovery_s,
         )
-        # Optional micro-batching: concurrent recommend() calls pool
-        # their rank stage into one score_pairs forward.
-        self.batcher: MicroBatcher | None = None
-        if microbatch is not None:
-            self.batcher = MicroBatcher(self._execute_rank_batch, microbatch)
         # Optional overload protection: admission control at the front
         # door plus the lifecycle that owns graceful drain.
         self.guard: AdmissionController | None = None
@@ -173,9 +164,6 @@ class FlightRecommender:
             self.guard = AdmissionController(guard)
         else:
             self.guard = None
-        if self.guard is not None and self.batcher is not None:
-            # Drain must not strand requests pooled in the batch queue.
-            self.guard.lifecycle.add_flush_hook(self.batcher.flush)
 
     @property
     def lifecycle(self):
@@ -183,43 +171,25 @@ class FlightRecommender:
         return self.guard.lifecycle if self.guard is not None else None
 
     def drain(self, timeout_s: float | None = None) -> bool:
-        """Gracefully shut down serving: stop admitting, flush the
-        micro-batcher, complete in-flight requests.
+        """Gracefully shut down serving: stop admitting, complete
+        in-flight requests.
 
         Returns ``True`` once drained.  Without a guard there is no
-        admission to close and no in-flight accounting; the batcher is
-        flushed and the call reports drained immediately.
+        admission to close and no in-flight accounting, so the call
+        reports drained immediately.
         """
         if self.guard is not None:
             return self.guard.drain(timeout_s)
-        if self.batcher is not None:
-            self.batcher.flush()
         return True
-
-    def _execute_rank_batch(
-        self, items: list[tuple[UserHistory, list[ODPair], int, int]]
-    ) -> list[list[ScoredPair]]:
-        """Micro-batch executor: one rank_many forward for pooled items.
-
-        Every pooled request is ranked to its own ``k``; ``rank_many``
-        scores the union in one forward, so the per-request cut happens
-        after the shared model pass.
-        """
-        max_k = max(k for _, _, _, k in items)
-        ranked = self.ranking.rank_many(
-            [(history, candidates, day) for history, candidates, day, _ in items],
-            k=max_k,
-        )
-        return [
-            flights[:k] for flights, (_, _, _, k) in zip(ranked, items)
-        ]
 
     # ------------------------------------------------------------------
     # Fallback producers (the degradation ladder)
     # ------------------------------------------------------------------
     def cold_start_history(self, user_id: int) -> UserHistory:
         """A personalisation-free profile anchored at the most popular
-        origin city — what an unknown/new user gets instead of KeyError.
+        origin city — what an unknown/new user gets instead of KeyError,
+        and what an id outside the embedding table gets whatever RTFS
+        holds for it.
 
         Ids outside the embedding table are hashed into range (the usual
         hash-bucket trick) so the model can still score the empty profile.
@@ -307,183 +277,112 @@ class FlightRecommender:
         expired budget, or a refused admission; it degrades and reports
         how in the response's ``degraded``/``fallbacks`` metadata.
         """
-        return self._admit_and_serve(
-            [(user_id, day)], k, self._resolve_deadline(deadline), priority
-        )[0]
-
-    def recommend_many(
-        self,
-        requests: list[tuple[int, int]],
-        k: int = 10,
-        priority: Priority = Priority.BATCH,
-    ) -> list[RecommendationResponse]:
-        """Serve several ``(user_id, day)`` requests with ONE rank forward.
-
-        The bulk entry point of the pipeline :meth:`recommend` runs:
-        features and recall per request (they are per-user work), then
-        one ``rank_many`` pass behind the same retry / breaker /
-        deadline policy, so a failing forward degrades every request to
-        popularity ordering with the reasons :meth:`recommend` reports.
-        The configured ``resilience.deadline_ms`` budgets the whole
-        call, and with a guard it takes one admission slot (default
-        priority ``BATCH`` — bulk work sheds before interactive
-        traffic); a refused call sheds every request.
-        """
-        if not requests:
-            return []
-        return self._admit_and_serve(
-            requests, k, self._resolve_deadline(None), priority
-        )
-
-    def _admit_and_serve(
-        self,
-        requests: list[tuple[int, int]],
-        k: int,
-        deadline: Deadline | None,
-        priority: Priority,
-    ) -> list[RecommendationResponse]:
-        """Admit the call once, then run the pipeline over its requests."""
+        deadline = self._resolve_deadline(deadline)
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if self.guard is None:
-            return self._serve(requests, k, deadline)
+            return self._serve(user_id, day, k, deadline)
         try:
             permit = self.guard.admit(priority=priority, deadline=deadline)
         except AdmissionRejected as rejection:
-            return [
-                self._shed_response(user_id, day, k, rejection)
-                for user_id, day in requests
-            ]
+            return self._shed_response(user_id, day, k, rejection)
         try:
-            return self._serve(requests, k, deadline)
+            return self._serve(user_id, day, k, deadline)
         finally:
             permit.release()
 
     def _serve(
-        self,
-        requests: list[tuple[int, int]],
-        k: int,
-        deadline: Deadline | None,
-    ) -> list[RecommendationResponse]:
-        """The one request pipeline: features + recall per request, one
-        rank stage per call, one finish."""
+        self, user_id: int, day: int, k: int, deadline: Deadline | None
+    ) -> RecommendationResponse:
+        """The one request pipeline: features, recall, rank, finish."""
         tracer = get_tracer()
         start = time.perf_counter()
-        if len(requests) == 1:
-            (user_id, day), = requests
-            tags = {"user_id": user_id, "day": day, "k": k}
-        else:
-            tags = {"requests": len(requests), "k": k}
-        items = []      # one (history, candidates, day) per request
-        fallbacks = []  # one list of FallbackEvents per request
-        with tracer.span("recommend", **tags):
-            for user_id, day in requests:
-                events: list[FallbackEvent] = []
-                # Stage 1 — features: unknown users get a cold start.
-                with tracer.span("features"):
-                    stage_start = time.perf_counter()
-                    try:
-                        history = self.features.user_history(user_id, day)
-                    except KeyError:
+        events: list[FallbackEvent] = []
+        with tracer.span("recommend", user_id=user_id, day=day, k=k):
+            # Stage 1 — features: unknown users get a cold start, and so
+            # does any id the embedding tables have no row for, even when
+            # RTFS holds bookings streamed in for it.
+            with tracer.span("features"):
+                stage_start = time.perf_counter()
+                try:
+                    history = self.features.user_history(user_id, day)
+                except KeyError:
+                    events.append(record_fallback("features", "cold_start"))
+                    history = self.cold_start_history(user_id)
+                except Exception as exc:
+                    events.append(record_fallback(
+                        "features", f"error:{type(exc).__name__}"
+                    ))
+                    history = self.cold_start_history(user_id)
+                else:
+                    if not 0 <= user_id < self.dataset.num_users:
                         events.append(
-                            record_fallback("features", "cold_start")
+                            record_fallback("features", "out_of_table")
                         )
                         history = self.cold_start_history(user_id)
-                    except Exception as exc:
-                        events.append(record_fallback(
-                            "features", f"error:{type(exc).__name__}"
-                        ))
-                        history = self.cold_start_history(user_id)
-                    self._observe_stage(deadline, "features", stage_start)
+                self._observe_stage(deadline, "features", stage_start)
 
-                # Stage 2 — recall: degrade to globally popular routes.
-                with tracer.span("recall") as recall_span:
-                    stage_start = time.perf_counter()
-                    candidates, event = run_with_fallback(
-                        FallbackPolicy(
-                            site="recall",
-                            fallback=lambda: self.recall.popular_pairs(),
-                        ),
-                        lambda: self.recall.candidate_pairs(history),
-                        deadline=deadline,
-                    )
-                    if event is None and not candidates:
-                        event = record_fallback("recall", "empty")
-                        candidates = self.recall.popular_pairs()
-                    if event is not None:
-                        events.append(event)
-                    recall_span.set_tag("candidates", len(candidates))
-                    self._observe_stage(deadline, "recall", stage_start)
-                items.append((history, candidates, day))
-                fallbacks.append(events)
+            # Stage 2 — recall: degrade to globally popular routes.
+            with tracer.span("recall") as recall_span:
+                stage_start = time.perf_counter()
+                candidates, event = run_with_fallback(
+                    FallbackPolicy(
+                        site="recall",
+                        fallback=lambda: self.recall.popular_pairs(),
+                    ),
+                    lambda: self.recall.candidate_pairs(history),
+                    deadline=deadline,
+                )
+                if event is None and not candidates:
+                    event = record_fallback("recall", "empty")
+                    candidates = self.recall.popular_pairs()
+                if event is not None:
+                    events.append(event)
+                recall_span.set_tag("candidates", len(candidates))
+                self._observe_stage(deadline, "recall", stage_start)
 
-            # Stage 3 — rank: one forward for the call behind retry +
-            # breaker + deadline; degrade to popularity ordering when the
-            # model cannot score.  With a micro-batcher a one-request
-            # call shares its forward with concurrent callers instead; a
-            # failed batch degrades each caller individually.
-            if self.batcher is not None and len(items) == 1:
-                (history, candidates, day), = items
-
-                def _rank():
-                    return [self.batcher.submit(
-                        (history, candidates, day, k), deadline=deadline
-                    )]
-            else:
-                def _rank():
-                    return self.ranking.rank_many(items, k=k)
-
+            # Stage 3 — rank behind retry + breaker + deadline; degrade
+            # to popularity ordering when the model cannot score.
             with tracer.span("rank") as rank_span:
                 stage_start = time.perf_counter()
-                ranked, event = run_with_fallback(
+                flights, event = run_with_fallback(
                     FallbackPolicy(
                         site="rank",
-                        fallback=lambda: [
-                            self.popularity_rank(candidates, k)
-                            for _, candidates, _ in items
-                        ],
+                        fallback=lambda: self.popularity_rank(candidates, k),
                         retry=self.resilience.retry,
                         breaker=self.rank_breaker,
                     ),
-                    _rank,
+                    lambda: self.ranking.rank(history, candidates, day, k=k),
                     deadline=deadline,
                 )
                 if event is not None:
-                    for events in fallbacks:
-                        events.append(event)
-                rank_span.set_tag("returned", sum(len(top) for top in ranked))
+                    events.append(event)
+                rank_span.set_tag("returned", len(flights))
                 rank_span.set_tag("degraded", event is not None)
                 self._observe_stage(deadline, "rank", stage_start)
 
-        # Every request of a call waited for the whole call, so that is
-        # the latency each one reports.
         latency_ms = (time.perf_counter() - start) * 1000.0
         registry = get_registry()
-        responses = []
-        for (user_id, day), (_, candidates, _), events, flights in zip(
-            requests, items, fallbacks, ranked
-        ):
-            registry.counter("serving.requests").inc()
-            registry.counter("serving.candidates").inc(len(candidates))
-            registry.histogram("serving.latency_ms").observe(latency_ms)
-            if events:
-                registry.counter("serving.degraded_requests").inc()
-            if self.profiler is not None:
-                self.profiler.on_request(
-                    user_id=user_id,
-                    day=day,
-                    latency_ms=latency_ms,
-                    num_candidates=len(candidates),
-                    k=k,
-                )
-            responses.append(RecommendationResponse(
+        registry.counter("serving.requests").inc()
+        registry.counter("serving.candidates").inc(len(candidates))
+        registry.histogram("serving.latency_ms").observe(latency_ms)
+        if events:
+            registry.counter("serving.degraded_requests").inc()
+        if self.profiler is not None:
+            self.profiler.on_request(
                 user_id=user_id,
                 day=day,
-                flights=flights,
-                degraded=bool(events),
-                fallbacks=events,
-            ))
-        return responses
+                latency_ms=latency_ms,
+                num_candidates=len(candidates),
+                k=k,
+            )
+        return RecommendationResponse(
+            user_id=user_id,
+            day=day,
+            flights=flights,
+            degraded=bool(events),
+            fallbacks=events,
+        )
 
     @staticmethod
     def _observe_stage(

@@ -64,15 +64,6 @@ class TestDrain:
             lifecycle.request_started()
         assert excinfo.value.reason == "draining"
 
-    def test_drain_runs_flush_hooks(self):
-        flushed = []
-        lifecycle = ServerLifecycle()
-        lifecycle.mark_ready()
-        lifecycle.add_flush_hook(lambda: flushed.append("batcher"))
-        lifecycle.add_flush_hook(lambda: flushed.append("cache"))
-        lifecycle.drain()
-        assert flushed == ["batcher", "cache"]
-
     def test_drain_waits_for_in_flight(self):
         """drain() must not report drained while a request is running."""
         lifecycle = ServerLifecycle()
@@ -184,23 +175,4 @@ class TestDrainConcurrency:
         for thread in drainers:
             thread.join(timeout=15.0)
         assert results == [True, True]
-        assert lifecycle.state == DRAINED
-
-    def test_concurrent_drain_runs_flush_hooks_once(self):
-        lifecycle = ServerLifecycle()
-        lifecycle.mark_ready()
-        flushes = []
-        lifecycle.add_flush_hook(lambda: flushes.append(1))
-        barrier = threading.Barrier(2)
-
-        def drainer():
-            barrier.wait()
-            lifecycle.drain(timeout_s=5.0)
-
-        drainers = [threading.Thread(target=drainer) for _ in range(2)]
-        for thread in drainers:
-            thread.start()
-        for thread in drainers:
-            thread.join(timeout=10.0)
-        assert flushes == [1]
         assert lifecycle.state == DRAINED

@@ -308,33 +308,40 @@ class TestMultiPoint:
         )
         assert session.point_memo["misses"] == after["misses"]
 
-    def test_recommend_many_and_rank_many(self, fliggy_dataset):
+    def test_a_served_point_is_remembered_in_a_multi_point_batch(
+        self, fliggy_dataset
+    ):
         world = World(fliggy_dataset, cap=32)
-        recommender = world.recommender
+        session = world.session
         requests = [(user, ADHOC_DAY) for user in range(6)]
-        warm = recommender.recommend(2, ADHOC_DAY, k=5)
-        many = recommender.recommend_many(requests, k=5)
-        assert world.session.point_memo["hits"] == 2
-        assert [f.pair for f in many[2].flights] == [
-            f.pair for f in warm.flights
+        warm = world.recommender.recommend(2, ADHOC_DAY, k=5)
+        batch = world.batch(*requests)
+        state = session._lookup()
+        before = session.point_memo
+        scores = session.score_pairs(batch)
+        after = session.point_memo
+        # The served point's two aware sides hit; the other five miss.
+        assert after["hits"] - before["hits"] == 2
+        assert after["misses"] - before["misses"] == 10
+        np.testing.assert_allclose(
+            scores, explicit(state, batch), rtol=0, atol=1e-12
+        )
+        # The served point's rows rank as recommend served them.
+        rows = np.flatnonzero(batch.point_rows == 2)
+        _, candidates = world.request(2, ADHOC_DAY)
+        order = np.argsort(-scores[rows], kind="mergesort")[:5]
+        assert [f.pair for f in warm.flights] == [
+            candidates[i] for i in order
         ]
         np.testing.assert_allclose(
-            [f.score for f in many[2].flights],
-            [f.score for f in warm.flights], rtol=0, atol=1e-12,
+            [f.score for f in warm.flights], scores[rows][order],
+            rtol=0, atol=1e-12,
         )
-        # rank_many over the same requests, everything remembered:
-        ranked = recommender.ranking.rank_many(
-            [(world.request(u, d)[0].history, world.request(u, d)[1], d)
-             for u, d in requests], k=5,
+        # ... and all-hit: every point remembered by now.
+        np.testing.assert_allclose(
+            session.score_pairs(batch), scores, rtol=0, atol=1e-12
         )
-        for response, flights in zip(many, ranked):
-            assert [f.pair for f in response.flights] == [
-                f.pair for f in flights
-            ]
-            np.testing.assert_allclose(
-                [f.score for f in response.flights],
-                [f.score for f in flights], rtol=0, atol=1e-12,
-            )
+        assert session.point_memo["misses"] == after["misses"]
 
     def test_single_point_is_bitwise(self, world):
         batch = world.batch((4, ADHOC_DAY))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import ODDataset
-from repro.data.schema import ODPair, UserHistory
+from repro.data.schema import BookingEvent, ODPair, UserHistory
 from repro.serving import (
     ABTestConfig,
     ABTestSimulator,
@@ -102,6 +102,61 @@ class TestFlightRecommender:
         response = recommender.recommend(user_id=user, day=720, k=10)
         if len(response) >= 2:
             assert response.flights[0].score >= response.flights[-1].score
+
+
+class TestOutOfTableIds:
+    """An id the embedding tables have no row for is served the empty
+    profile even when RTFS holds bookings streamed in for it — it is
+    never scored on its raw id (an ``IndexError`` that trips the shared
+    rank breaker, or numpy's negative indexing into another user's row)."""
+
+    DAY = 720
+
+    def _streamed_in(self, model, dataset, user_id):
+        recommender = FlightRecommender(model, dataset)
+        recommender.features.record_booking(BookingEvent(
+            user_id=user_id, origin=0, destination=1, day=self.DAY - 10,
+            price=100.0,
+        ))
+        return recommender
+
+    def test_an_id_past_the_table_keeps_the_breaker_closed(
+        self, trained_odnet, od_dataset
+    ):
+        stranger = od_dataset.num_users + 5
+        recommender = self._streamed_in(trained_odnet, od_dataset, stranger)
+        for _ in range(7):
+            response = recommender.recommend(stranger, self.DAY, k=5)
+            assert [str(e) for e in response.fallbacks] == [
+                "features:out_of_table"
+            ]
+            assert len(response) == 5
+        known = od_dataset.source.test_points[0].history.user_id
+        response = recommender.recommend(known, self.DAY, k=5)
+        assert not response.degraded, [str(e) for e in response.fallbacks]
+        assert recommender.rank_breaker.state == "closed"
+
+    def test_a_negative_id_scores_the_empty_profile(
+        self, trained_odnet, od_dataset
+    ):
+        recommender = self._streamed_in(trained_odnet, od_dataset, -1)
+        response = recommender.recommend(-1, self.DAY, k=10)
+        assert response.degraded
+        assert [str(e) for e in response.fallbacks] == [
+            "features:out_of_table"
+        ]
+        empty = UserHistory(
+            user_id=od_dataset.num_users - 1,
+            current_city=recommender.recall.most_popular_origin(),
+            revision=10**6,   # a key no point in the store holds
+        )
+        candidates = recommender.recall.candidate_pairs(empty)
+        expected = recommender.ranking.rank(
+            empty, candidates, day=self.DAY, k=10
+        )
+        assert [(f.pair, f.score) for f in response.flights] == [
+            (f.pair, f.score) for f in expected
+        ]
 
 
 class TestABTest:
