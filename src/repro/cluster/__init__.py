@@ -34,6 +34,7 @@ from .gateway import Gateway, GatewayError, GatewayServer, WorkerHandle
 from .hashring import ConsistentHashRing
 from .manager import ClusterStartupError, ServingCluster
 from .supervisor import ClusterSupervisor, RestartBudget
+from .wire import BadRequest
 from .worker import WorkerRuntime, worker_main
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
     "WorkerClient",
     "WorkerUnavailable",
     "ClusterProtocolError",
+    "BadRequest",
     "Gateway",
     "GatewayError",
     "GatewayServer",

@@ -13,8 +13,9 @@ gateway can wait for several attempts on its request thread.  Every
 attempt runs under a hard per-attempt connect/read deadline — a wedged
 worker costs bounded time, never a hung gateway thread.
 
-Anything else (a 4xx, a worker-side 500 with a JSON body) surfaces as
-:class:`ClusterProtocolError` — a bug, not a routing event.
+A 400 is the caller's malformed request, :class:`~repro.cluster.wire.
+BadRequest`; anything else (a 404, a worker-side 500 with a JSON body)
+surfaces as :class:`ClusterProtocolError` — a bug, not a routing event.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import socket
 import threading
 
-from .wire import VERBS, ClusterProtocolError, decode, recv_frame, send_frame
+from .wire import (
+    VERBS, BadRequest, ClusterProtocolError, decode, recv_frame, send_frame,
+)
 
 __all__ = ["ClusterProtocolError", "WorkerUnavailable", "WorkerClient"]
 
@@ -67,12 +70,14 @@ class _Attempt:
 
     def result(self) -> dict:
         """The ranking; 503, reset and deadline are
-        :class:`WorkerUnavailable`."""
+        :class:`WorkerUnavailable`, a 400 is :class:`BadRequest`."""
         status, body = self.reply()
         if status == 503:
             raise WorkerUnavailable(
                 self._client.endpoint, body.get("error", "unavailable")
             )
+        if status == 400:
+            raise BadRequest(body.get("error", "bad request"))
         if status != 200:
             raise ClusterProtocolError(
                 f"worker {self._client.endpoint} recommend -> {status}: {body}"

@@ -65,7 +65,7 @@ from ..resilience import CircuitBreaker
 from .client import WorkerClient, WorkerUnavailable
 from .config import ClusterConfig
 from .hashring import ConsistentHashRing
-from .wire import FrameServer
+from .wire import BadRequest, FrameServer, recommend_request
 
 __all__ = ["GatewayError", "WorkerHandle", "Gateway", "GatewayServer"]
 
@@ -165,9 +165,11 @@ class Gateway:
     # ------------------------------------------------------------------
     def recommend(self, payload: dict) -> dict:
         """Proxy one ranking request; raises :class:`GatewayError` only
-        when every replica is unavailable."""
-        if "user_id" not in payload:
-            raise ValueError("payload needs a user_id")
+        when every replica is unavailable, and
+        :class:`~repro.cluster.wire.BadRequest` for a payload
+        :func:`~repro.cluster.wire.recommend_request` refuses here or a
+        worker refused."""
+        recommend_request(payload, self.config.default_k)
         registry = get_registry()
         with self._inflight_lock:
             self._inflight += 1
@@ -330,6 +332,9 @@ class Gateway:
                     except WorkerUnavailable as exc:
                         failed(handle, exc.reason)
                         continue
+                    except BadRequest:
+                        handle.breaker.record_success()  # it answered
+                        raise
                     handle.breaker.record_success()
                     self._observe_latency(
                         registry, (time.perf_counter() - started) * 1000.0

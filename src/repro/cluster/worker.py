@@ -40,7 +40,7 @@ from ..obs.registry import MetricsRegistry, set_registry
 from ..resilience import FaultInjector, FaultSpec, set_fault_injector
 from ..resilience.chaos import inject
 from .config import ClusterConfig
-from .wire import FrameServer
+from .wire import BadRequest, FrameServer, recommend_request
 
 __all__ = ["WorkerRuntime", "worker_main"]
 
@@ -148,11 +148,9 @@ class WorkerRuntime:
 
     def handle_recommend(self, payload: dict) -> tuple[int, dict]:
         try:
-            user_id = int(payload["user_id"])
-            day = int(payload.get("day", 0))
-            k = int(payload.get("k", self.config.default_k))
-        except (KeyError, TypeError, ValueError):
-            return 400, {"error": "payload needs integer user_id [, day, k]"}
+            user_id, day, k = recommend_request(payload, self.config.default_k)
+        except BadRequest as exc:
+            return 400, {"error": str(exc)}
         # Process-level fault site: with a crash spec armed (see
         # worker_main) the Nth call here kills the process mid-request —
         # the socket dies without a reply, exactly like a segfault.

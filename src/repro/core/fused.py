@@ -89,7 +89,9 @@ class FrozenScoringState:
     weights, not the candidates, so one state encodes a point once.  Born
     empty with the state and dead with it; consulted only when a keyed
     batch is scored from the state's own ``tables``.  Not a response
-    cache: x_st, q^X, the joint head and the blend run on every call.
+    cache: q^X, the joint head and the blend run on every call.  What
+    reads no weights — candidates, side layouts, x_st — is remembered
+    apart, per decision point (:class:`repro.data.dataset.PointPlans`).
     """
 
     model: Module

@@ -19,6 +19,18 @@ Serving-time registrations (``register_point``) are bounded by an LRU
 with a configurable cap (``max_cached_points``); offline train/test
 points are pinned and never evicted.  Evictions are counted on
 ``encoded_evictions`` and the ``dataset.encoded_evictions`` obs counter.
+
+Point plans
+-----------
+Everything a request computes before it reads a weight is a function of
+its decision point ``(user, day, revision)``: recall's candidate pairs,
+and over them the per-side layouts with their distinct x_st / aux rows.
+:class:`PointPlans` remembers that once per point, under the same bound
+as the encoded store (``max_cached_points``, least recently used out
+first).  Recall fills a plan's pairs and :meth:`ODDataset.
+batch_for_candidates` its side blocks; a repeat of the point rebuilds
+only the per-row gathers and pair features from them.  Plans hold
+read-only arrays and no per-row replica.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ import numpy as np
 
 from ..graph import HeterogeneousSpatialGraph
 from ..obs.registry import get_registry
-from .schema import ODPair, Sample
+from .schema import CandidatePairs, ODPair, Sample
 from .synthetic import (
     DecisionPoint,
     FliggyDataset,
@@ -42,7 +54,8 @@ from .synthetic import (
 )
 from .temporal import XST_DIM, TemporalFeatureExtractor
 
-__all__ = ["ODBatch", "ODDataset", "RankingTask", "AUX_DIM", "FULL_XST_DIM"]
+__all__ = ["ODBatch", "ODDataset", "RankingTask", "PointPlan", "PointPlans",
+           "AUX_DIM", "FULL_XST_DIM"]
 
 #: engineered candidate/history interaction statistics appended to x_st:
 #: candidate==current-city, log1p(long-history matches),
@@ -265,6 +278,10 @@ class _EncodedStore:
                     self._ensure_capacity(self._size + 1)
                     row = self._size
                     self._size += 1
+                # Cleared before the key names the row: a reader that
+                # finds ``key -> row`` and then a nonzero, unmoved stamp
+                # gathered this key's write, whole.
+                self.stamp[row] = 0
                 self._rows[key] = row
                 if not pinned:
                     self._adhoc[key] = row
@@ -276,6 +293,61 @@ class _EncodedStore:
             self.current_city[row] = encoded.current_city
             self.stamp[row] = next(_STAMPS)
             return row
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class PointPlan:
+    """The weight-free half of serving one decision point.
+
+    ``pairs`` is the ``(n, 2)`` candidate array ``recall`` (the
+    :class:`~repro.serving.recall.CandidateRecall` that produced it)
+    returned for the point; ``sides`` is filled by the first batch built
+    over exactly those pairs from a whole gather of the point's own store
+    row: per side ``(first, rows, block)``, the side layout and the
+    distinct x_st + aux rows.  Every array is read-only.
+    """
+
+    __slots__ = ("recall", "pairs", "sides")
+
+    def __init__(self, recall, pairs: np.ndarray):
+        self.recall = recall
+        self.pairs = _frozen(pairs)
+        self.sides: dict[str, tuple[np.ndarray, ...]] | None = None
+
+
+class PointPlans:
+    """``(user, day, revision) -> PointPlan``, at most ``bound`` of them
+    (``None``: unbounded), least recently used out first — the encoded
+    store's rule and bound."""
+
+    def __init__(self, bound: int | None):
+        self.bound = bound
+        self._plans: OrderedDict[tuple[int, int, int], PointPlan] = (
+            OrderedDict()
+        )
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key: tuple[int, int, int]) -> PointPlan | None:
+        plan = self._plans.get(key)
+        if plan is not None:
+            with self._lock:  # the key may have been evicted since
+                if key in self._plans:
+                    self._plans.move_to_end(key)
+        return plan
+
+    def put(self, key: tuple[int, int, int], plan: PointPlan) -> None:
+        with self._lock:
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            if self.bound is not None and len(self._plans) > self.bound:
+                self._plans.popitem(last=False)
 
 
 class ODDataset:
@@ -293,9 +365,10 @@ class ODDataset:
         True for the Fliggy task (rank OD pairs, both labels informative);
         False for LBSN next-POI mode where only the destination is ranked.
     max_cached_points:
-        LRU cap on *serving-time* encoded points (``register_point``).
-        Offline train/test points are pinned and exempt.  ``None``
-        disables the bound (offline-only workloads).
+        LRU cap on *serving-time* encoded points (``register_point``) and
+        on point plans (:attr:`plans`).  Offline train/test points are
+        pinned in the store and exempt.  ``None`` disables the bound
+        (offline-only workloads).
     """
 
     def __init__(
@@ -324,13 +397,7 @@ class ODDataset:
         for point in source.train_points + source.test_points:
             self._store.put(self._key(point), self._encode_point(point),
                             pinned=True)
-        self._xst_cache: dict[tuple[int, int, int, str], np.ndarray] = {}
-        # The x_st cache has the same unbounded-key shape as the encoded
-        # store (keyed on (user, city, day, role)); its entries are tiny
-        # (XST_DIM floats) so a generous FIFO bound suffices.
-        self._max_xst_entries = (
-            None if max_cached_points is None else 64 * max_cached_points
-        )
+        self.plans = PointPlans(max_cached_points)
         self._split_arrays_cache: dict[str, tuple[np.ndarray, ...]] = {}
         self._hard_negatives = False
         self._route_popularity = self._build_route_popularity()
@@ -435,31 +502,6 @@ class ODDataset:
         inverse[order] = group
         return order[new_group], inverse
 
-    def _xst_many(
-        self,
-        users: np.ndarray,
-        cities: np.ndarray,
-        days: np.ndarray,
-        role: str,
-    ) -> np.ndarray:
-        """x_st of (distinct) (user, city, day) triples: cached rows,
-        misses filled from :class:`TemporalFeatureExtractor`."""
-        table = np.empty((users.shape[0], XST_DIM), dtype=np.float64)
-        cache = self._xst_cache
-        compute = self.temporal.features
-        bound = self._max_xst_entries
-        triples = zip(users.tolist(), cities.tolist(), days.tolist())
-        for j, triple in enumerate(triples):
-            key = (*triple, role)
-            row = cache.get(key)
-            if row is None:
-                row = compute(*key)
-                if bound is not None and len(cache) >= bound:
-                    cache.pop(next(iter(cache)))
-                cache[key] = row
-            table[j] = row
-        return table
-
     def _aux_features_many(
         self,
         current_city: np.ndarray,
@@ -538,8 +580,13 @@ class ODDataset:
         label_d: np.ndarray,
         point_rows: np.ndarray | None = None,
         first_rows: np.ndarray | None = None,
-    ) -> ODBatch:
-        """Gather store rows + compute all feature blocks, fully vectorized."""
+        sides: dict[str, tuple[np.ndarray, ...]] | None = None,
+    ) -> tuple[ODBatch, dict[str, tuple[np.ndarray, ...]]]:
+        """Gather store rows + compute all feature blocks, fully vectorized.
+
+        Returns the batch and its side blocks, per side ``(first, rows,
+        block)``: the given ``sides`` (a plan's) or, without them, the
+        ones computed here."""
         store = self._store
         long_origins = store.long_origins[store_rows]
         long_destinations = store.long_destinations[store_rows]
@@ -549,32 +596,31 @@ class ODDataset:
         short_destinations = store.short_destinations[store_rows]
         short_mask = store.short_mask[store_rows]
         current_city = store.current_city[store_rows]
-
-        # Per-side features depend on (user, day, candidate city) alone:
-        # compute them on the distinct triples and gather back per row.
-        layout, xst = {}, {}
-        for role, cands, long_seq, short_seq in (
-            ("o", cand_o, long_origins, short_origins),
-            ("d", cand_d, long_destinations, short_destinations),
-        ):
-            first, rows = layout[role] = self._unique_triples(
-                user_ids, cands, days
-            )
-            distinct = np.empty((first.shape[0], FULL_XST_DIM))
-            distinct[:, :XST_DIM] = self._xst_many(
-                user_ids[first], cands[first], days[first], role
-            )
-            distinct[:, XST_DIM:] = self._aux_features_many(
-                current_city[first], long_seq[first], long_mask[first],
-                short_seq[first], short_mask[first], cands[first],
-            )
-            xst[role] = distinct[rows]
+        if sides is None:
+            # Per-side features depend on (user, day, candidate city)
+            # alone: (first, rows, block) computes them on the distinct
+            # triples, to be gathered back per row.
+            sides = {}
+            for role, cands, long_seq, short_seq in (
+                ("o", cand_o, long_origins, short_origins),
+                ("d", cand_d, long_destinations, short_destinations),
+            ):
+                first, rows = self._unique_triples(user_ids, cands, days)
+                block = np.empty((first.shape[0], FULL_XST_DIM))
+                block[:, :XST_DIM] = self.temporal.x_st(
+                    user_ids[first], cands[first], days[first], role
+                )
+                block[:, XST_DIM:] = self._aux_features_many(
+                    current_city[first], long_seq[first], long_mask[first],
+                    short_seq[first], short_mask[first], cands[first],
+                )
+                sides[role] = (first, rows, block)
         pair_features = self._pair_features_many(
             long_origins, long_destinations, long_mask,
             short_origins, short_destinations, short_mask,
             cand_o, cand_d,
         )
-        return ODBatch(
+        batch = ODBatch(
             user_ids=user_ids,
             current_city=current_city,
             long_origins=long_origins,
@@ -589,14 +635,17 @@ class ODDataset:
             label_o=label_o,
             label_d=label_d,
             day=days,
-            xst_o=xst["o"],
-            xst_d=xst["d"],
+            xst_o=sides["o"][2][sides["o"][1]],  # block[rows]
+            xst_d=sides["d"][2][sides["d"][1]],
             pair_features=pair_features,
             point_rows=point_rows,
             first_rows=first_rows,
             # Training batches repeat next to nothing: every row its own.
-            side_layout=layout if point_rows is not None else None,
+            side_layout=None if point_rows is None else {
+                role: side[:2] for role, side in sides.items()
+            },
         )
+        return batch, sides
 
     # ------------------------------------------------------------------
     def _split_arrays(self, split: str) -> tuple[np.ndarray, ...]:
@@ -647,7 +696,7 @@ class ODDataset:
                 store_rows[chunk], users[chunk], days[chunk],
                 origins[chunk], dests[chunk],
                 label_o[chunk], label_d[chunk],
-            )
+            )[0]
 
     def batch_for_samples(self, samples: list[Sample]) -> ODBatch:
         """One batch over explicit :class:`Sample` rows (PS training path).
@@ -673,7 +722,7 @@ class ODDataset:
             np.fromiter((s.destination for s in samples), np.int64, n),
             np.fromiter((s.label_o for s in samples), np.float64, n),
             np.fromiter((s.label_d for s in samples), np.float64, n),
-        )
+        )[0]
 
     def register_point(self, point: DecisionPoint) -> int:
         """Encode and index an ad-hoc decision point (serving-time queries).
@@ -699,6 +748,18 @@ class ODDataset:
         """Encode one decision point against a list of candidate OD pairs."""
         return self.batch_for_requests([(point, candidates)])
 
+    def _plan(self, requests) -> PointPlan | None:
+        """The plan of a single request whose candidates are the pairs its
+        recall remembered (:attr:`plans`), else None."""
+        if len(requests) != 1:
+            return None
+        point, candidates = requests[0]
+        plan = self.plans.get(self._key(point))
+        if plan is None or not (isinstance(candidates, CandidatePairs)
+                                and candidates.array is plan.pairs):
+            return None
+        return plan
+
     def batch_for_requests(
         self, requests: list[tuple[DecisionPoint, list[ODPair]]]
     ) -> ODBatch:
@@ -710,7 +771,10 @@ class ODDataset:
         order, so the caller can split the score vector back with the
         per-request candidate counts.  The batch carries the segment
         layout (``point_rows`` / ``first_rows``) so point-aware models can
-        deduplicate per-history work across a request's candidates.
+        deduplicate per-history work across a request's candidates.  A
+        single request over the pairs recall remembered for its point
+        takes its side blocks from the point's plan — built by the first
+        such call.
         """
         num_requests = len(requests)
         counts = np.empty(num_requests, dtype=np.int64)
@@ -752,19 +816,30 @@ class ODDataset:
         label_d = (cand_d == target_d[active][point_rows]).astype(np.float64)
         rows = point_store_rows[active]
         stamps = self._store.stamp[rows]
-        batch = self._assemble_batch(
+        plan = self._plan(requests)
+        batch, sides = self._assemble_batch(
             rows[point_rows],
             point_users[active][point_rows],
             point_days[active][point_rows],
             cand_o, cand_d, label_o, label_d,
             point_rows=point_rows,
             first_rows=first_rows,
+            sides=None if plan is None else plan.sides,
+        )
+        # A plan remembers only a gather of its own point's row: the key
+        # still names the row (asked before the stamps are re-read — a
+        # put clears a row's stamp before a key names it).
+        own = plan is not None and plan.sides is None and (
+            self._store.row(self._key(requests[0][0])) == point_store_rows[0]
         )
         # Seqlock read (a gather takes no lock; only puts do): a stamp that
         # read 0 or moved across the gather met a put — scored, but under
-        # no key (stamp 0).
-        intact = stamps == self._store.stamp[rows]
+        # no key (stamp 0), and its side blocks are not remembered.
+        intact = (stamps == self._store.stamp[rows]) & (stamps != 0)
         batch.point_keys = (rows, np.where(intact, stamps, 0))
+        if own and intact.all():
+            plan.sides = {role: tuple(map(_frozen, side))
+                          for role, side in sides.items()}
         return batch
 
     # ------------------------------------------------------------------

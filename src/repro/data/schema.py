@@ -8,13 +8,17 @@ labelled samples of Table I.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "City",
     "UserProfile",
     "ODPair",
+    "CandidatePairs",
     "BookingEvent",
     "ClickEvent",
     "Sample",
@@ -60,6 +64,34 @@ class ODPair(NamedTuple):
     def reversed(self) -> "ODPair":
         """The return-ticket pair (Case 2 of the paper's case study)."""
         return ODPair(self.destination, self.origin)
+
+
+class CandidatePairs(Sequence):
+    """Candidate OD pairs held as one ``(n, 2)`` int array
+    (``array``), read as a sequence of :class:`ODPair` — what recall hands
+    the ranker, without an object per pair."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __len__(self) -> int:
+        return self.array.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidatePairs(self.array[index])
+        return ODPair(*self.array[index].tolist())
+
+    def __iter__(self):
+        return map(ODPair._make, self.array.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array.astype(dtype or self.array.dtype)
+
+    def __repr__(self) -> str:
+        return f"CandidatePairs({self.array.tolist()})"
 
 
 @dataclass(frozen=True)
@@ -134,6 +166,11 @@ class UserHistory:
     bookings: list[BookingEvent] = field(default_factory=list)
     clicks: list[ClickEvent] = field(default_factory=list)
     revision: int = 0  #: RTFS ingest count when read (0: offline, -1: cold start)
+    #: The decision day RTFS read this history at (``None``: not an RTFS
+    #: read); with ``user_id`` and ``revision`` it names the decision
+    #: point.  An attribute, not a field, so equality and the world's
+    #: pinned digests read the same fields as before.
+    day: ClassVar[int | None] = None
 
     @property
     def origin_sequence(self) -> list[int]:

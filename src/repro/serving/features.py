@@ -159,10 +159,12 @@ class RealTimeFeatureService:
         current = self.current_city(user_id, day)
         if current is None:
             raise KeyError(f"no behavioural data for user {user_id}")
-        return UserHistory(
+        history = UserHistory(
             user_id=user_id,
             current_city=current,
             bookings=self.bookings_before(user_id, day),
             clicks=self.clicks_before(user_id, day, click_window_days),
             revision=revision,
         )
+        history.day = day
+        return history

@@ -132,6 +132,7 @@ class FlightRecommender:
             dataset.source.world,
             dataset.route_popularity,
             recall_config,
+            plans=dataset.plans,
         )
         self.ranking = RankingService(model, dataset)
         self.profiler = profiler

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.schema import ODPair, UserHistory
+from ..data.dataset import PointPlan, PointPlans
+from ..data.schema import CandidatePairs, ODPair, UserHistory
 from ..data.world import CityWorld
 from ..obs.registry import get_registry
 from ..resilience.chaos import get_fault_injector
@@ -46,6 +47,11 @@ class CandidateRecall:
     ``np.lexsort`` (count descending, first-appearance order on ties),
     and OD pairs come from a ``repeat``/``tile`` cross product with an
     ordered integer-key dedup — no per-candidate list/dict work.
+
+    With ``plans`` (the dataset's :class:`~repro.data.dataset.PointPlans`)
+    the pairs of a history RTFS read are remembered per decision point
+    ``(user, day, revision)``, which names that history, and a repeat
+    of the point reads them back.
     """
 
     def __init__(
@@ -53,8 +59,10 @@ class CandidateRecall:
         world: CityWorld,
         route_popularity: np.ndarray,
         config: RecallConfig | None = None,
+        plans: PointPlans | None = None,
     ):
         self.world = world
+        self.plans = plans
         self.route_popularity = np.asarray(route_popularity, dtype=np.float64)
         self.config = config or RecallConfig()
         # Globally popular destinations by inbound route mass.
@@ -134,16 +142,24 @@ class CandidateRecall:
         """Historical Ds + popular-route Ds + clicked Ds."""
         return self._destination_array(history).tolist()
 
-    def candidate_pairs(self, history: UserHistory) -> list[ODPair]:
+    def candidate_pairs(self, history: UserHistory) -> CandidatePairs:
         """Cross-assembled OD pairs, deduplicated and capped."""
         get_fault_injector().inject("recall.candidates")
-        pairs = self._assemble_pairs(history)
+        key = (history.user_id, history.day, history.revision)
+        remembered = self.plans is not None and history.day is not None
+        plan = self.plans.get(key) if remembered else None
+        if plan is not None and plan.recall is self:
+            pairs = plan.pairs
+        else:
+            pairs = self._assemble_pairs(history)
+            if remembered:
+                self.plans.put(key, PointPlan(self, pairs))
         registry = get_registry()
         if registry.enabled:
             registry.counter("recall.calls").inc()
             registry.counter("recall.pairs").inc(len(pairs))
             registry.histogram("recall.pairs_per_call").observe(len(pairs))
-        return pairs
+        return CandidatePairs(pairs)
 
     # ------------------------------------------------------------------
     # Popularity fallbacks (the degradation ladder's bottom rung)
@@ -185,8 +201,9 @@ class CandidateRecall:
         """The city with the largest outbound route mass."""
         return int(np.argmax(self.route_popularity.sum(axis=1)))
 
-    def _assemble_pairs(self, history: UserHistory) -> list[ODPair]:
-        """Candidate pairs in priority order, deduplicated, capped.
+    def _assemble_pairs(self, history: UserHistory) -> np.ndarray:
+        """Candidate pairs in priority order, deduplicated, capped: an
+        ``(n, 2)`` array of (origin, destination) rows.
 
         Generation order (mirrored from the list-based implementation it
         replaces): clicked exact pairs newest-first (highest intent),
@@ -218,9 +235,4 @@ class CandidateRecall:
         keys = all_o * np.int64(self._num_cities) + all_d
         _, first = np.unique(keys, return_index=True)
         chosen = np.sort(first)[: self.config.max_pairs]
-        return [
-            ODPair(origin, destination)
-            for origin, destination in zip(
-                all_o[chosen].tolist(), all_d[chosen].tolist()
-            )
-        ]
+        return np.stack([all_o[chosen], all_d[chosen]], axis=1)

@@ -1,13 +1,17 @@
 """Temporal statistics x_st: visibility, windows, same-period counts."""
 
-import bisect
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import build_odnet
 from repro.data.schema import BookingEvent
 from repro.data.temporal import XST_DIM, TemporalFeatureExtractor
+from repro.serving import FlightRecommender
+
+from ..conftest import TINY_MODEL_CONFIG
 
 
 def _booking(user, o, d, day):
@@ -89,49 +93,74 @@ class TestCounts:
         users = np.array([0, 0])
         cities = np.array([2, 1])
         days = np.array([400, 400])
-        batch = extractor.features_batch(users, cities, days, "d")
-        np.testing.assert_allclose(
-            batch[0], extractor.features(0, 2, 400, "d")
+        rows = extractor.x_st(users, cities, days, "d")
+        np.testing.assert_array_equal(
+            rows[0], extractor.features(0, 2, 400, "d")
         )
-        np.testing.assert_allclose(
-            batch[1], extractor.features(0, 1, 400, "d")
+        np.testing.assert_array_equal(
+            rows[1], extractor.features(0, 1, 400, "d")
         )
 
+    def test_unknown_ids_count_nothing(self, extractor):
+        rows = extractor.x_st(np.array([-1, 2**40, 0]),
+                              np.array([2, 2, -3]), np.array([400] * 3), "d")
+        assert (rows[:, [0, 1, 2, 5]] == 0).all()
+        assert (rows[2] == 0).all()
+        assert rows[0, 3] == rows[1, 3] > 0  # the global counts stay
 
-class _SlicingReference(TemporalFeatureExtractor):
-    """``features`` as it was before it stopped copying: slice the visible
-    prefix of each day list, then count inside the copy."""
+
+class _Reference:
+    """x_st counted from the raw booking lists, one event at a time.
+
+    Shares nothing with the index: every event the query may see is
+    tested against each window directly.  An event sits in the window of
+    at most one anniversary ``day - 365 k`` (the windows are 31 days
+    wide, a year apart), so the same-period count asks each event for
+    the nearest ``k`` instead of walking the anniversaries.
+    """
+
+    def __init__(self, bookings):
+        self.events = [b for events in bookings.values() for b in events]
 
     def features(self, user_id, city, day, role):
-        def count(days, low, high):
-            return bisect.bisect_left(days, high) - bisect.bisect_left(days, low)
+        def place(event):
+            return event.origin if role == "o" else event.destination
 
-        def same_period(days):
-            total, anniversary = 0, day - 365
-            while anniversary >= -15:
-                total += count(days, anniversary - 15, anniversary + 16)
-                anniversary -= 365
-            return total
+        def same_period(event):
+            k = (day - event.day + 182) // 365  # the nearest
+            anniversary = day - 365 * k
+            return (k >= 1 and anniversary >= -15
+                    and abs(event.day - anniversary) <= 15)
 
-        user_days = self._user_days.get((user_id, city, role), [])
-        global_days = self._global_days.get((city, role), [])
-        visible = user_days[:bisect.bisect_left(user_days, day)]
-        visible_global = global_days[:bisect.bisect_left(global_days, day)]
-        norm = max(self._global_totals[role], 1)
+        everyone = [e for e in self.events if place(e) == city]
+        mine = [e for e in everyone if e.user_id == user_id]
+        visible = [e for e in mine if e.day < day]
+        norm = max(len(self.events), 1)
+        last_month = [e for e in everyone if day - 30 <= e.day < day]
         return np.array([
-            np.log1p(count(visible, day - 30, day)),
-            np.log1p(same_period(visible)),
+            np.log1p(sum(e.user_id == user_id for e in last_month)),
+            np.log1p(sum(map(same_period, mine))),
             np.log1p(len(visible)),
-            count(visible_global, day - 30, day) / norm * 100.0,
-            same_period(visible_global) / norm * 100.0,
-            1.0 / (1.0 + (day - visible[-1])) if visible else 0.0,
+            len(last_month) / norm * 100.0,
+            sum(map(same_period, everyone)) / norm * 100.0,
+            1.0 / (1.0 + (day - max(e.day for e in visible)))
+            if visible else 0.0,
         ])
 
 
-class TestNoCopyAgreesWithSlicing:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_random_queries(self, seed):
+#: days a query may carry: before, inside and far past the event span
+DAYS = st.one_of(
+    st.integers(-20, 1600),
+    st.integers(-10**6, 10**7),
+    st.sampled_from([-15, -16, 10**6, 10**9, 10**18, -10**18]),
+)
+
+
+class TestAgreesWithReference:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), days=st.lists(DAYS, min_size=16,
+                                                          max_size=16))
+    def test_random_queries(self, seed, days):
         rng = np.random.default_rng(seed)
         bookings = {
             user: [
@@ -141,13 +170,35 @@ class TestNoCopyAgreesWithSlicing:
             ]
             for user in range(3)
         }
-        new = TemporalFeatureExtractor(bookings)
-        old = _SlicingReference(bookings)
+        extractor = TemporalFeatureExtractor(bookings)
+        reference = _Reference(bookings)
         # Before the first event, on event days, between, after the last.
-        days = [0, 99, 100, 1199, 1200, 5000, *rng.integers(0, 1600, 10)]
-        for day in days:
-            query = (int(rng.integers(0, 4)), int(rng.integers(0, 5)),
-                     int(day), "od"[int(rng.integers(0, 2))])
-            np.testing.assert_array_equal(
-                new.features(*query), old.features(*query)
-            )
+        days = [0, 99, 100, 1199, 1200, 5000, *days]
+        users = rng.integers(0, 4, len(days))
+        cities = rng.integers(0, 5, len(days))
+        for role in "od":
+            rows = extractor.x_st(users, cities, np.array(days), role)
+            expected = np.stack([
+                reference.features(int(u), int(c), day, role)
+                for u, c, day in zip(users, cities, days)
+            ])
+            np.testing.assert_array_equal(rows, expected)
+            for i in range(len(days)):
+                np.testing.assert_array_equal(
+                    extractor.features(int(users[i]), int(cities[i]),
+                                       days[i], role),
+                    rows[i],
+                )
+
+
+def test_far_day_is_answered_in_time(od_dataset):
+    """A query's cost does not grow with its day: a day of 10**18 once
+    walked 10**15 anniversaries inside the rank stage."""
+    recommender = FlightRecommender(
+        build_odnet(od_dataset, TINY_MODEL_CONFIG), od_dataset
+    )
+    user = od_dataset.source.test_points[0].history.user_id
+    start = time.perf_counter()
+    response = recommender.recommend(user, day=10**18, k=5)
+    assert time.perf_counter() - start < 5.0
+    assert not response.degraded and len(response) == 5
