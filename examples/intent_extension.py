@@ -5,10 +5,12 @@ account" as future work.  ``IntentAwareODNET`` learns a small set of
 latent intents end-to-end and routes the MMoE through them.  This example
 trains it next to the base ODNET, compares ranking quality, inspects the
 learned intent distribution, and round-trips the model through a
-checkpoint (the offline-train / online-serve split of Figure 9).
+``.snap`` snapshot (the offline-train / online-serve split of Figure 9).
 
 Run:  python examples/intent_extension.py
 """
+
+import tempfile
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from repro import (
 )
 from repro.core import IntentAwareODNET
 from repro.data.world import WorldConfig
-from repro.train import load_checkpoint, save_checkpoint
+from repro.online import SnapshotStore
 
 
 def main():
@@ -63,14 +65,18 @@ def main():
         print("Dominant intent | non-return candidates    :",
               np.bincount(ids[~returns], minlength=4))
 
-    # Checkpoint round-trip (offline training -> online serving).
-    path = save_checkpoint(intent_model, "/tmp/odnet_intent",
-                           metadata={"epochs": train.epochs})
+    # Snapshot round-trip (offline training -> online serving).
+    with tempfile.TemporaryDirectory() as directory:
+        store = SnapshotStore(directory)
+        store.publish(intent_model.state_dict(),
+                      metadata={"epochs": train.epochs})
+        snapshot = store.load()
     clone = IntentAwareODNET(dataset, config, num_intents=4)
-    meta = load_checkpoint(clone, path)
+    clone.load_state_dict(snapshot.state)
     same = np.allclose(clone.score_pairs(batch),
                        intent_model.score_pairs(batch))
-    print(f"\nCheckpoint round-trip ok={same} (metadata: {meta})")
+    print(f"\nSnapshot round-trip ok={same} "
+          f"(metadata: {snapshot.metadata})")
 
 
 if __name__ == "__main__":

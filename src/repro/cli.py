@@ -47,7 +47,7 @@ _EXPERIMENTS = {
     "fig6b": "exploration-depth sweep (Figure 6b)",
     "fig7": "simulated online A/B test (Figure 7)",
     "obs": "observability summary (live demo run, or --input snapshot.jsonl)",
-    "chaos": "seeded fault-injection demo (degraded serving + PS training); "
+    "chaos": "seeded fault-injection demo (degraded serving); "
              "--overload runs the admission-control overload scenario, "
              "--cluster the process-level self-healing drill "
              "(SIGKILL + SIGSTOP under traffic); both drills exit "
@@ -303,11 +303,10 @@ def _chaos_cluster(args) -> str:
 def _chaos(args) -> str:
     """Seeded end-to-end fault-injection demo.
 
-    Trains through the simulated parameter-server cluster while pushes
-    drop and workers die, then serves requests (known, unknown, and
-    deadline-bounded users) while half the rank stage's scoring calls
-    fail — and shows that every request still got an answer, what
-    degraded, and how the breaker and the obs counters saw it.
+    Serves requests (known, unknown, and deadline-bounded users) while
+    half the rank stage's scoring calls fail — and shows that every
+    request still got an answer, what degraded, and how the breaker and
+    the obs counters saw it.
     """
     if args.overload:
         return _chaos_overload(args)
@@ -316,7 +315,6 @@ def _chaos(args) -> str:
 
     from .core import ODNETConfig, build_odnet
     from .data import ODDataset, generate_fliggy_dataset
-    from .distributed import ParameterServerTrainer, PSConfig
     from .obs import render_summary, use_observability
     from .resilience import FaultInjector, FaultSpec, use_fault_injector
     from .serving import FlightRecommender, ServingResilienceConfig
@@ -331,29 +329,6 @@ def _chaos(args) -> str:
             dataset, ODNETConfig(dim=16, num_heads=2, depth=2, seed=args.seed)
         )
 
-        # --- training under chaos: dropped pushes + dying workers -----
-        train_chaos = FaultInjector(seed=args.seed)
-        train_chaos.add("ps.push", FaultSpec(error_rate=0.25))
-        train_chaos.add("worker.compute", FaultSpec(error_rate=0.25))
-        trainer = ParameterServerTrainer(
-            model, dataset,
-            PSConfig(num_servers=3, num_workers=3, epochs=2,
-                     batch_size=64, seed=args.seed),
-        )
-        with use_fault_injector(train_chaos) as chaos:
-            stats = trainer.fit()
-        lines.append("== training under chaos (ps.push / worker.compute) ==")
-        lines.append(
-            f"epochs={len(stats.epoch_losses)}  "
-            f"first_loss={stats.epoch_losses[0]:.4f}  "
-            f"final_loss={stats.epoch_losses[-1]:.4f}"
-        )
-        lines.append(
-            f"injected_faults={chaos.total_faults}  "
-            f"dropped_pushes={stats.dropped_pushes}  "
-            f"worker_failures={stats.worker_failures}"
-        )
-
         # --- serving under chaos: rank.score failing half the time ----
         serve_chaos = FaultInjector(seed=args.seed)
         serve_chaos.add("rank.score", FaultSpec(error_rate=0.5))
@@ -364,7 +339,7 @@ def _chaos(args) -> str:
             ),
         )
         served = degraded = empty = 0
-        with use_fault_injector(serve_chaos) as chaos:
+        with use_fault_injector(serve_chaos):
             points = dataset.source.test_points[:15]
             for point in points:
                 response = recommender.recommend(
@@ -378,7 +353,6 @@ def _chaos(args) -> str:
             served += 1
             degraded += cold.degraded
             empty += len(cold) == 0
-        lines.append("")
         lines.append("== serving under chaos (rank.score 50% failure) ==")
         lines.append(
             f"served={served}  degraded={degraded}  empty_responses={empty}"

@@ -9,19 +9,26 @@ every user the way ``user_id % n`` would during a rolling drain.
 
 Each node is planted ``vnodes`` times on a 64-bit ring; a key walks
 clockwise to the first virtual node.  Positions come from
-:func:`repro.distributed.sharding.stable_hash` (process-independent —
-``hash()`` is salted per interpreter and would desync gateway restarts).
+:func:`stable_hash` (process-independent — ``hash()`` is salted per
+interpreter and would desync gateway restarts).
 Lookup is a ``bisect`` over the sorted positions — O(log(n·vnodes)).
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 from typing import Iterable, Sequence
 
-from ..distributed.sharding import stable_hash
+__all__ = ["ConsistentHashRing", "stable_hash"]
 
-__all__ = ["ConsistentHashRing"]
+
+def stable_hash(key: int | str) -> int:
+    """A 64-bit hash of a key that any process, restart, or machine
+    computes alike: the big-endian blake2b digest of the key's
+    decimal/utf-8 form."""
+    digest = hashlib.blake2b(str(key).encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 class ConsistentHashRing:

@@ -194,8 +194,8 @@ class _EncodedStore:
     small arrays through Python.  Rows come in two kinds:
 
     - *pinned* rows (the offline train/test points) live forever — the
-      training iterator and parameter server address them by row and
-      those rows must stay stable;
+      training iterator addresses them by row and those rows must stay
+      stable;
     - *ad-hoc* rows (serving-time ``register_point`` calls) participate
       in an LRU bounded by ``max_adhoc``.  Evicted rows go on a free
       list and are reused, so the matrices stop growing once the cap is
@@ -697,32 +697,6 @@ class ODDataset:
                 origins[chunk], dests[chunk],
                 label_o[chunk], label_d[chunk],
             )[0]
-
-    def batch_for_samples(self, samples: list[Sample]) -> ODBatch:
-        """One batch over explicit :class:`Sample` rows (PS training path).
-
-        Every sample's ``(user_id, day)`` key must already be encoded
-        (offline samples always are).
-        """
-        n = len(samples)
-        store_rows = np.empty(n, dtype=np.int64)
-        for i, sample in enumerate(samples):
-            row = self._store.row((sample.user_id, sample.day, 0))
-            if row is None:
-                raise KeyError(
-                    f"decision point {(sample.user_id, sample.day)} is not "
-                    "encoded; register it before batching"
-                )
-            store_rows[i] = row
-        return self._assemble_batch(
-            store_rows,
-            np.fromiter((s.user_id for s in samples), np.int64, n),
-            np.fromiter((s.day for s in samples), np.int64, n),
-            np.fromiter((s.origin for s in samples), np.int64, n),
-            np.fromiter((s.destination for s in samples), np.int64, n),
-            np.fromiter((s.label_o for s in samples), np.float64, n),
-            np.fromiter((s.label_d for s in samples), np.float64, n),
-        )[0]
 
     def register_point(self, point: DecisionPoint) -> int:
         """Encode and index an ad-hoc decision point (serving-time queries).

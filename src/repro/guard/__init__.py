@@ -6,8 +6,6 @@ protects it from *its own load*.  Under a traffic spike the serving path
 must shed work in priority order with bounded queueing — never collapse
 into unbounded latency — and a shutting-down server must drain cleanly:
 
-- :mod:`~repro.guard.ratelimit` — :class:`TokenBucket` (requests/sec
-  with bursts; also throttles parameter-server push floods);
 - :mod:`~repro.guard.limiter` — :class:`ConcurrencyLimiter` with a
   *bounded* wait queue and an AIMD-adaptive limit targeting the live
   ``serving.latency_ms`` distribution;
@@ -36,7 +34,6 @@ from .errors import AdmissionRejected, GuardError, reject
 from .lifecycle import DRAINED, DRAINING, READY, STARTING, ServerLifecycle
 from .limiter import AdaptiveLimitConfig, ConcurrencyLimiter
 from .overload import OverloadConfig, run_overload
-from .ratelimit import TokenBucket
 from .shedder import LoadShedder, Priority, ShedPolicy
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "GuardError",
     "AdmissionRejected",
     "reject",
-    # rate limiting
-    "TokenBucket",
     # concurrency limiting
     "ConcurrencyLimiter",
     "AdaptiveLimitConfig",

@@ -2,10 +2,9 @@
 
 :meth:`AdmissionController.admit` runs the full admission sequence for a
 request — lifecycle gate (draining servers refuse), priority shed check
-against current occupancy pressure, token-bucket rate limit, then a
-bounded-queue concurrency slot — and returns a :class:`Permit` whose
-release feeds the observed latency back into the AIMD limit.  Any step
-that refuses raises a typed
+against current occupancy pressure, then a bounded-queue concurrency
+slot — and returns a :class:`Permit` whose release feeds the observed
+latency back into the AIMD limit.  Any step that refuses raises a typed
 :class:`~repro.guard.errors.AdmissionRejected` *before any model work
 has started*; the serving layer converts it into a degraded
 popularity-ranked response.
@@ -27,7 +26,6 @@ from ..resilience.deadline import Deadline
 from .errors import AdmissionRejected, reject
 from .lifecycle import ServerLifecycle
 from .limiter import AdaptiveLimitConfig, ConcurrencyLimiter
-from .ratelimit import TokenBucket
 from .shedder import LoadShedder, Priority, ShedPolicy
 
 __all__ = ["GuardConfig", "Permit", "AdmissionController"]
@@ -39,16 +37,13 @@ class GuardConfig:
 
     ``max_concurrent`` requests run at once (the AIMD start point when
     ``adaptive`` is set); up to ``max_queue`` more wait at most
-    ``queue_timeout_ms`` for a slot.  ``rate``/``burst`` configure the
-    optional front-door token bucket (requests/sec; ``None`` disables
-    it).  ``shed`` sets the per-priority pressure thresholds.
+    ``queue_timeout_ms`` for a slot.  ``shed`` sets the per-priority
+    pressure thresholds.
     """
 
     max_concurrent: int = 8
     max_queue: int = 16
     queue_timeout_ms: float = 50.0
-    rate: float | None = None
-    burst: float | None = None
     adaptive: AdaptiveLimitConfig | None = None
     shed: ShedPolicy = field(default_factory=ShedPolicy)
     site: str = "serving.admission"
@@ -64,8 +59,6 @@ class GuardConfig:
             raise ValueError(
                 f"queue_timeout_ms must be >= 0, got {self.queue_timeout_ms}"
             )
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError(f"rate must be > 0 req/sec, got {self.rate}")
 
 
 class Permit:
@@ -94,7 +87,7 @@ class Permit:
 
 
 class AdmissionController:
-    """Admission sequence: lifecycle -> shed -> rate limit -> slot."""
+    """Admission sequence: lifecycle -> shed -> slot."""
 
     def __init__(
         self,
@@ -115,11 +108,6 @@ class AdmissionController:
             clock=clock,
         )
         self.shedder = LoadShedder(self.config.shed, site=self.config.site)
-        self.bucket = None
-        if self.config.rate is not None:
-            self.bucket = TokenBucket(
-                self.config.rate, self.config.burst, clock=clock
-            )
 
     # ------------------------------------------------------------------
     def admit(
@@ -139,8 +127,6 @@ class AdmissionController:
                 else "not_ready"
             raise reject(self.config.site, reason, priority)
         self.shedder.check(priority, self.limiter.pressure())
-        if self.bucket is not None and not self.bucket.try_acquire():
-            raise reject(self.config.site, "rate_limited", priority)
         timeout_s = self.config.queue_timeout_ms / 1000.0
         if deadline is not None:
             timeout_s = min(timeout_s, deadline.remaining_ms() / 1000.0)

@@ -29,8 +29,8 @@ class AdmissionRejected(GuardError):
     """The request was refused before any work started.
 
     ``reason`` is one of ``"draining"``, ``"not_ready"``,
-    ``"rate_limited"``, ``"queue_full"``, ``"queue_timeout"``, or
-    ``"shed:<priority>"``; ``priority`` carries the request's
+    ``"queue_full"``, ``"queue_timeout"``, or ``"shed:<priority>"``;
+    ``priority`` carries the request's
     :class:`~repro.guard.shedder.Priority` when known.
     """
 

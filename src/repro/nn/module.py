@@ -15,10 +15,10 @@ __all__ = ["Parameter", "Module"]
 class Parameter(Tensor):
     """A trainable tensor: always requires grad and is tracked by modules.
 
-    Every mutation of the weights (optimizer steps, ``load_state_dict``,
-    parameter-server write-backs) bumps :attr:`version`; serving-time
-    caches key their frozen state on the aggregate
-    :attr:`Module.param_version` and drop it when any parameter moved.
+    Every mutation of the weights (optimizer steps, ``load_state_dict``)
+    bumps :attr:`version`; serving-time caches key their frozen state on
+    the aggregate :attr:`Module.param_version` and drop it when any
+    parameter moved.
     """
 
     def __init__(self, data, name: str | None = None):
@@ -88,9 +88,9 @@ class Module:
     def param_version(self) -> int:
         """Monotone counter over all weight mutations (recursively).
 
-        Optimizer steps, :meth:`load_state_dict`, and parameter-server
-        write-backs bump the per-parameter versions, so this sum changes
-        whenever *any* weight changed through a sanctioned mutation path.
+        Optimizer steps and :meth:`load_state_dict` bump the
+        per-parameter versions, so this sum changes whenever *any*
+        weight changed through a sanctioned mutation path.
         Serving caches (``repro.perf.InferenceSession``) compare it to
         decide whether their frozen tables are still valid; code that
         writes ``param.data`` directly must call

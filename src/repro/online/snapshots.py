@@ -57,10 +57,12 @@ crash matrix drills: ``online.publish.pre_write``,
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
 import struct
+import tempfile
 import time
 import zlib
 from dataclasses import dataclass
@@ -69,9 +71,11 @@ import numpy as np
 
 from ..obs.registry import get_registry
 from ..resilience.chaos import inject
-from ..train.checkpoint import atomic_write
 
-__all__ = ["SnapshotError", "SnapshotInfo", "Snapshot", "SnapshotStore"]
+__all__ = [
+    "SnapshotError", "SnapshotInfo", "Snapshot", "SnapshotStore",
+    "atomic_write",
+]
 
 _META_KEY = "__snapshot_meta__"
 _POINTER = "CURRENT"
@@ -83,6 +87,41 @@ _MAGIC = b"ODNSNAP1"
 _ALIGN = 8
 #: Linux's (and macOS's) cap on buffers per ``writev`` call.
 _IOV_MAX = 1024
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | pathlib.Path, mode: str = "wb"):
+    """Write ``path`` so a reader sees the old file or the new, never a
+    torn one: yields a handle on a temp file; a clean exit flushes,
+    fsyncs, ``os.replace``s it into place and fsyncs the directory (the
+    rename itself must survive a power cut).
+
+    The temp file lives in the *target* directory so ``os.replace``
+    stays on one filesystem (cross-device renames are not atomic).  Any
+    exception removes it and propagates; a killed process leaves a
+    ``*.tmp`` that nothing references.
+    """
+    path = pathlib.Path(path)
+    fd, tmp_name = tempfile.mkstemp(
+        dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, mode) as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_name, path)
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
 
 
 class SnapshotError(RuntimeError):

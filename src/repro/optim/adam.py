@@ -13,50 +13,7 @@ import numpy as np
 
 from ..nn.module import Parameter
 
-__all__ = ["Adam", "adam_update"]
-
-
-def adam_update(
-    data: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    grad_clip: float | None = None,
-    weight_decay: float = 0.0,
-) -> np.ndarray:
-    """The one Adam rule: weight decay, norm clipping, the moments and the
-    bias-corrected update of step ``step`` (counted from 1).
-
-    ``m`` and ``v`` are the caller's moment arrays and are updated in
-    place; ``data`` is never written — the updated weights come back as a
-    new array (a 0-d one for 0-d ``data``), so whoever holds the old
-    array keeps the old weights.
-    """
-    beta1, beta2 = betas
-    if weight_decay:
-        grad = grad + weight_decay * data
-    if grad_clip is not None:
-        norm = np.linalg.norm(grad)
-        if norm > grad_clip:
-            grad = grad * (grad_clip / (norm + 1e-12))
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    square = grad ** 2
-    square *= 1.0 - beta2
-    v *= beta2
-    v += square
-    # lr * m_hat / (sqrt(v_hat) + eps), in that order, in two buffers.
-    update = np.divide(m, 1.0 - beta1 ** step, out=np.empty_like(m))
-    update *= lr
-    denominator = np.divide(v, 1.0 - beta2 ** step, out=np.empty_like(v))
-    np.sqrt(denominator, out=denominator)
-    denominator += eps
-    update /= denominator
-    return np.asarray(data - update)
+__all__ = ["Adam"]
 
 
 class Adam:
@@ -88,14 +45,42 @@ class Adam:
             param.grad = None
 
     def step(self) -> None:
-        """Apply one Adam update using the gradients stored on parameters."""
+        """Apply one Adam update using the gradients stored on parameters:
+        weight decay, norm clipping, the moments and the bias-corrected
+        update.
+
+        The moments are updated in place; ``param.data`` is never
+        written — it is rebound to a new array (a 0-d one for 0-d data),
+        so whoever holds the old array keeps the old weights.
+        """
         self._step += 1
+        beta1, beta2 = self.beta1, self.beta2
         for param, m, v in zip(self.parameters, self._m, self._v):
-            if param.grad is None:
+            grad = param.grad
+            if grad is None:
                 continue
-            param.data = adam_update(
-                param.data, param.grad, m, v, self._step, self.lr,
-                (self.beta1, self.beta2), self.eps, self.grad_clip,
-                self.weight_decay,
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.grad_clip is not None:
+                norm = np.linalg.norm(grad)
+                if norm > self.grad_clip:
+                    grad = grad * (self.grad_clip / (norm + 1e-12))
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            square = grad ** 2
+            square *= 1.0 - beta2
+            v *= beta2
+            v += square
+            # lr * m_hat / (sqrt(v_hat) + eps), in that order, in two buffers.
+            update = np.divide(
+                m, 1.0 - beta1 ** self._step, out=np.empty_like(m)
             )
+            update *= self.lr
+            denominator = np.divide(
+                v, 1.0 - beta2 ** self._step, out=np.empty_like(v)
+            )
+            np.sqrt(denominator, out=denominator)
+            denominator += self.eps
+            update /= denominator
+            param.data = np.asarray(param.data - update)
             param.bump_version()

@@ -29,11 +29,11 @@ Invalidation contract
 A state is fresh while its version equals the sum of ``Parameter.version``
 over the model's parameters (held in a flat tuple), a counter bumped by
 every sanctioned weight mutation: optimizer steps
-(:class:`~repro.optim.Adam`, :class:`~repro.optim.SGD`),
-``Module.load_state_dict`` (and therefore
-:func:`~repro.train.load_checkpoint` resumes), and parameter-server
-write-backs.  A stale version triggers one rebuild on the next request,
-so training and serving can interleave.  Code that assigns
+(:class:`~repro.optim.Adam`, :class:`~repro.optim.SGD`) and
+``Module.load_state_dict`` (and therefore every
+:class:`~repro.online.SnapshotStore` load put into a model).  A stale
+version triggers one rebuild on the next request, so training and
+serving can interleave.  Code that assigns
 ``param.data`` directly bypasses the counter and must call
 ``Parameter.bump_version()`` (or :meth:`InferenceSession.invalidate`).
 In-flight rule: a reader that finds its state stale while a writer (a

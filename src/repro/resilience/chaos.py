@@ -1,12 +1,13 @@
 """Seeded fault injection — the chaos harness.
 
-Instrumented sites (``rank.score``, ``ps.push``, ``ps.pull``,
-``worker.compute``, …) call :func:`inject` with their site name; the
-*active* :class:`FaultInjector` then deterministically decides — from one
-seeded RNG stream — whether to raise an :class:`InjectedFault`, add
-latency, or do nothing.  The default injector is a no-op (same
-get/set/use pattern as the metrics registry), so production code paths
-pay only a function call when chaos is off.
+Instrumented sites (``rank.score``, ``recall.candidates``,
+``features.history``, ``online.publish.*``, …) call :func:`inject` with
+their site name; the *active* :class:`FaultInjector` then
+deterministically decides — from one seeded RNG stream — whether to
+raise an :class:`InjectedFault`, add latency, or do nothing.  The
+default injector is a no-op (same get/set/use pattern as the metrics
+registry), so production code paths pay only a function call when chaos
+is off.
 
 >>> from repro.resilience import FaultInjector, FaultSpec, use_fault_injector
 >>> chaos = FaultInjector(seed=0)

@@ -1,9 +1,8 @@
 """Retries with exponential backoff and deterministic seeded jitter.
 
-``retry_call`` is the single retry primitive shared by serving and
-training: the serving path retries the rank stage inside its circuit
-breaker, and the parameter-server trainer retries every pull/push.  The
-jitter stream is seeded so a chaos run replays byte-for-byte.
+``retry_call`` is the single retry primitive: the serving path retries
+the rank stage inside its circuit breaker.  The jitter stream is seeded
+so a chaos run replays byte-for-byte.
 """
 
 from __future__ import annotations

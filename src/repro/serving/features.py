@@ -156,13 +156,14 @@ class RealTimeFeatureService:
         """
         get_fault_injector().inject("features.history")
         revision = self._revision.get(user_id, 0)
-        current = self.current_city(user_id, day)
+        past = self.bookings_before(user_id, day)
+        current = past[-1].destination if past else self.resident_city(user_id)
         if current is None:
             raise KeyError(f"no behavioural data for user {user_id}")
         history = UserHistory(
             user_id=user_id,
             current_city=current,
-            bookings=self.bookings_before(user_id, day),
+            bookings=past,
             clicks=self.clicks_before(user_id, day, click_window_days),
             revision=revision,
         )

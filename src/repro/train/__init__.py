@@ -1,6 +1,5 @@
 """Training and evaluation harness (paper protocol of Section V-A.5)."""
 
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import TrainConfig
 from .evaluate import (
     evaluate_auc,
@@ -12,9 +11,6 @@ from .trainer import NonFiniteLossError, Trainer, TrainHistory
 
 __all__ = [
     "TrainConfig",
-    "CheckpointError",
-    "save_checkpoint",
-    "load_checkpoint",
     "Trainer",
     "TrainHistory",
     "NonFiniteLossError",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ConsistentHashRing
+from repro.cluster.hashring import stable_hash
 
 
 class TestLookup:
@@ -73,3 +74,29 @@ class TestPreference:
         ring = ConsistentHashRing(["w0", "w1"])
         order = ring.preference(42, ["w0", "w1", "ghost"])
         assert order[-1] == "ghost"
+
+
+class TestPlacementsDoNotMove:
+    """Golden values read at the commit before ``stable_hash`` replaced
+    the ring's own blake2b call: a change to the shared hash would
+    silently re-home every user, so ring positions and ring owners are
+    pinned."""
+
+    KEYS = [0, 1, 7, 42, 1000, 123456789, "w0#0", "w1#63", "user:7", ""]
+    POSITIONS = [
+        9523843951405948789, 17797172410793473910, 16667848380713045890,
+        6319743179241711738, 7575330518282793474, 9111887879481234737,
+        11550907120429369735, 5206050530288179078, 11144460159094613434,
+        16476032584258269876,
+    ]
+
+    def test_stable_hash_values(self):
+        assert [stable_hash(key) for key in self.KEYS] == self.POSITIONS
+
+    def test_ring_owners(self):
+        ring = ConsistentHashRing(["w0", "w1", "w2"])
+        assert [ring.lookup(key) for key in range(12)] == [
+            "w0", "w2", "w0", "w2", "w0", "w2",
+            "w0", "w0", "w0", "w2", "w2", "w2",
+        ]
+        assert ring.preference(7, ["w0", "w1", "w2"]) == ["w0", "w2", "w1"]

@@ -3,8 +3,8 @@
 ``register_point`` used to grow the encode cache forever — an unbounded
 memory leak under live traffic with unique ``(user, day)`` keys.  The
 store now bounds *ad-hoc* (serving-time) rows with an LRU; offline
-train/test rows are pinned and exempt because the training iterator and
-parameter server address them by row.
+train/test rows are pinned and exempt because the training iterator
+addresses them by row.
 """
 
 from __future__ import annotations

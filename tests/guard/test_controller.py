@@ -29,8 +29,7 @@ class FakeClock:
 
 class TestConfig:
     @pytest.mark.parametrize("kwargs", [
-        {"max_concurrent": 0}, {"max_queue": -1},
-        {"queue_timeout_ms": -1.0}, {"rate": 0.0},
+        {"max_concurrent": 0}, {"max_queue": -1}, {"queue_timeout_ms": -1.0},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
@@ -65,19 +64,6 @@ class TestAdmission:
         # With zero queue the shed check fires at full occupancy first.
         assert excinfo.value.reason in ("queue_full", "shed:interactive")
         held.release()
-
-    def test_rate_limit_rejects_the_burst_overflow(self):
-        clock = FakeClock()
-        controller = AdmissionController(
-            GuardConfig(rate=100.0, burst=2.0), clock=clock
-        )
-        controller.admit().release()
-        controller.admit().release()
-        with pytest.raises(AdmissionRejected) as excinfo:
-            controller.admit()
-        assert excinfo.value.reason == "rate_limited"
-        clock.advance(1.0)        # refill
-        controller.admit().release()
 
     def test_background_sheds_before_interactive(self):
         controller = AdmissionController(

@@ -98,7 +98,7 @@ class TestOverloadContract:
             reason = admission_events[0].reason
             assert (
                 reason.startswith("shed:")
-                or reason in ("queue_full", "queue_timeout", "rate_limited")
+                or reason in ("queue_full", "queue_timeout")
             )
 
         # 3. Offered load was genuinely 4x capacity, so something shed...

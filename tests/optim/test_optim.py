@@ -93,21 +93,6 @@ class TestAdam:
         assert (opt._m[0], opt._v[0]) == moments
         np.testing.assert_array_equal(opt._m[0], m)
 
-    def test_parameter_server_applies_the_same_rule(self, rng):
-        from repro.distributed import ParameterServer
-
-        start = rng.normal(size=(4, 2))
-        server = ParameterServer(0, learning_rate=0.02, grad_clip=5.0)
-        server.register("w", start)
-        param = Parameter(start.copy())
-        opt = Adam([param], lr=0.02, grad_clip=5.0)
-        for t in range(4):
-            grad = rng.normal(size=(4, 2)) * 10 ** t
-            server.push({"w": grad})
-            param.grad = grad
-            opt.step()
-        np.testing.assert_array_equal(server.pull(["w"])["w"], param.data)
-
 
 @pytest.mark.parametrize(
     "make", [lambda p: Adam(p, lr=0.1), lambda p: SGD(p, lr=0.1)],

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core import build_odnet
-from repro.distributed import ParameterServerTrainer, PSConfig
 from repro.obs import use_observability
 from repro.optim import SGD, Adam
 from repro.perf import InferenceSession
@@ -140,28 +139,17 @@ def _load_state_dict(model, dataset, batch):
     )
 
 
-def _ps_fit(model, dataset, batch):
-    # Workers share the model: every round is a ``Worker.load_weights``,
-    # the end of fit the write-back, and server pushes update in place.
-    ParameterServerTrainer(
-        model, dataset,
-        PSConfig(num_servers=2, num_workers=2, epochs=1, batch_size=64,
-                 seed=0),
-    ).fit()
-
-
 class TestMutationRebinds:
     """A captured ``param.data`` array is never written again."""
 
     @pytest.mark.parametrize(
-        "mutate", [_adam_step, _sgd_step, _load_state_dict, _ps_fit]
+        "mutate", [_adam_step, _sgd_step, _load_state_dict]
     )
     def test_previously_bound_arrays_are_untouched(
         self, od_dataset, probe, mutate
     ):
         model = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        # Twice: the second round holds arrays the first round bound
-        # (e.g. pulled from a parameter server that keeps updating).
+        # Twice: the second round holds arrays the first round bound.
         for _ in range(2):
             held = [
                 (param, param.data, param.data.tobytes())

@@ -480,8 +480,6 @@ class TestBypass:
         batch = next(world.dataset.iter_batches("train", batch_size=8))
         assert batch.point_keys is None and batch.point_memo is None
         world.session.score_pairs(batch)   # own tables, nothing to key on
-        samples = world.dataset.samples("train")[:4]
-        assert world.dataset.batch_for_samples(samples).point_keys is None
 
     def test_incremental_trainer_step(
         self, world, no_memo, monkeypatch, tmp_path

@@ -7,10 +7,11 @@ import pytest
 
 from repro.core import ODNETConfig, build_odnet
 from repro.obs import use_observability
+from repro.online import SnapshotStore
 from repro.optim import Adam
 from repro.perf import InferenceSession, supports_fast_path
 from repro.serving import CandidateRecall
-from repro.train import TrainConfig, Trainer, load_checkpoint, save_checkpoint
+from repro.train import TrainConfig, Trainer
 
 from ..conftest import TINY_MODEL_CONFIG
 
@@ -128,44 +129,13 @@ class TestInvalidation:
             _fresh_table_scores(model, batch), after
         )
 
-    def test_ps_fit_checkpoint_resume_invalidates(
-        self, od_dataset, model, batch, tmp_path
-    ):
-        """``ParameterServerTrainer.fit(checkpoint_path=...)`` resume
-        writes weights back into the model; the session must recompute."""
-        from repro.distributed import ParameterServerTrainer, PSConfig
-
-        session = model.freeze()
-        session.score_pairs(batch)
-        path = tmp_path / "ps_ckpt.npz"
-
-        ParameterServerTrainer(
-            model, od_dataset,
-            PSConfig(num_servers=2, num_workers=2, epochs=1,
-                     batch_size=64, seed=0),
-        ).fit(checkpoint_path=path)
-        assert path.exists()
-        session.score_pairs(batch)
-        assert session.misses == 2
-
-        # Resume: epochs=2 continues from the epoch-1 checkpoint.
-        ParameterServerTrainer(
-            model, od_dataset,
-            PSConfig(num_servers=2, num_workers=2, epochs=2,
-                     batch_size=64, seed=0),
-        ).fit(checkpoint_path=path)
-        resumed = np.asarray(session.score_pairs(batch))
-        assert session.misses == 3
-        np.testing.assert_array_equal(
-            _fresh_table_scores(model, batch), resumed
-        )
-
     def test_checkpoint_resume_invalidates(
         self, od_dataset, model, batch, tmp_path
     ):
-        """Loading a checkpoint must not serve embeddings of the old
+        """Loading a snapshot must not serve embeddings of the old
         weights — the load_state_dict path bumps every parameter."""
-        path = save_checkpoint(model, tmp_path / "ckpt.npz")
+        store = SnapshotStore(tmp_path)
+        store.publish(model.state_dict())
         initial = _fresh_table_scores(model, batch)
 
         Trainer(TrainConfig(epochs=1, seed=0)).fit(model, od_dataset)
@@ -173,7 +143,7 @@ class TestInvalidation:
         trained = np.asarray(session.score_pairs(batch))
         assert not np.array_equal(initial, trained)
 
-        load_checkpoint(model, path)
+        model.load_state_dict(store.load().state)
         restored = np.asarray(session.score_pairs(batch))
         assert session.misses == 2
         np.testing.assert_array_equal(initial, restored)

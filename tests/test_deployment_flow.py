@@ -1,7 +1,7 @@
 """The Figure 9 deployment flow, end to end.
 
-Offline: generate data -> train -> checkpoint (MaxCompute/PAI side).
-Online: load dataset + checkpoint into a fresh process-like context ->
+Offline: generate data -> train -> publish a snapshot (MaxCompute/PAI
+side).  Online: load dataset + snapshot into a fresh process-like context ->
 serve requests through TPP/RTFS/recall/RSS -> explain results.
 """
 
@@ -9,8 +9,8 @@ import numpy as np
 
 from repro.core import build_odnet
 from repro.data import ODDataset, load_dataset, save_dataset
+from repro.online import SnapshotStore
 from repro.serving import FlightRecommender, RecommendationExplainer
-from repro.train import load_checkpoint, save_checkpoint
 from tests.conftest import TINY_MODEL_CONFIG
 
 
@@ -19,15 +19,17 @@ class TestDeploymentFlow:
                                         trained_odnet, tmp_path):
         # --- offline side: persist dataset and model --------------------
         dataset_path = save_dataset(fliggy_dataset, tmp_path / "dataset")
-        model_path = save_checkpoint(trained_odnet, tmp_path / "model",
-                                     metadata={"stage": "offline"})
+        SnapshotStore(tmp_path / "model").publish(
+            trained_odnet.state_dict(), metadata={"stage": "offline"}
+        )
 
         # --- online side: fresh objects, loaded state --------------------
         served_dataset = ODDataset(load_dataset(dataset_path),
                                    max_long=10, max_short=6)
         served_model = build_odnet(served_dataset, TINY_MODEL_CONFIG)
-        meta = load_checkpoint(served_model, model_path)
-        assert meta["stage"] == "offline"
+        snapshot = SnapshotStore(tmp_path / "model").load()
+        served_model.load_state_dict(snapshot.state)
+        assert snapshot.metadata["stage"] == "offline"
 
         recommender = FlightRecommender(served_model, served_dataset)
         explainer = RecommendationExplainer(

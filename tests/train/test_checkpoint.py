@@ -1,92 +1,29 @@
-"""Checkpoint save/load round-trips, atomicity, and corruption handling."""
+"""``atomic_write``: a reader sees the old file or the new, never a torn one.
 
-import numpy as np
+Every weight snapshot and the ``CURRENT`` pointer are written through it.
+"""
+
 import pytest
 
-from repro.core import build_odnet
-from repro.train import CheckpointError, load_checkpoint, save_checkpoint
-from tests.conftest import TINY_MODEL_CONFIG
-
-
-class TestCheckpoint:
-    def test_roundtrip_preserves_scores(self, trained_odnet, od_dataset,
-                                        tmp_path):
-        path = save_checkpoint(trained_odnet, tmp_path / "odnet",
-                               metadata={"epochs": 2})
-        assert path.suffix == ".npz"
-        clone = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        meta = load_checkpoint(clone, path)
-        assert meta["epochs"] == 2
-        assert meta["model_name"] == "ODNET"
-        batch = next(od_dataset.iter_batches("test", 8, shuffle=False))
-        np.testing.assert_allclose(
-            clone.score_pairs(batch), trained_odnet.score_pairs(batch)
-        )
-
-    def test_suffix_added_on_load(self, trained_odnet, od_dataset, tmp_path):
-        save_checkpoint(trained_odnet, tmp_path / "model.npz")
-        clone = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        load_checkpoint(clone, tmp_path / "model")  # no suffix
-
-    def test_mismatched_architecture_rejected(self, trained_odnet, od_dataset,
-                                              tmp_path):
-        from dataclasses import replace
-
-        path = save_checkpoint(trained_odnet, tmp_path / "odnet")
-        other = build_odnet(
-            od_dataset, replace(TINY_MODEL_CONFIG, dim=8)
-        )
-        with pytest.raises((KeyError, ValueError)):
-            load_checkpoint(other, path)
-
-    def test_creates_parent_directories(self, trained_odnet, tmp_path):
-        path = save_checkpoint(trained_odnet, tmp_path / "a" / "b" / "model")
-        assert path.exists()
-
-
-class TestCheckpointErrors:
-    def test_missing_file_raises_checkpoint_error(self, trained_odnet,
-                                                  tmp_path):
-        with pytest.raises(CheckpointError, match="not found"):
-            load_checkpoint(trained_odnet, tmp_path / "nope.npz")
-
-    def test_truncated_archive_raises_checkpoint_error(self, trained_odnet,
-                                                       od_dataset, tmp_path):
-        path = save_checkpoint(trained_odnet, tmp_path / "model")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        clone = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        with pytest.raises(CheckpointError, match="truncated or corrupt"):
-            load_checkpoint(clone, path)
-
-    def test_corrupt_garbage_raises_checkpoint_error(self, trained_odnet,
-                                                     tmp_path):
-        path = tmp_path / "garbage.npz"
-        path.write_bytes(b"this is definitely not a zip archive")
-        with pytest.raises(CheckpointError, match="truncated or corrupt"):
-            load_checkpoint(trained_odnet, path)
-
-    def test_empty_file_raises_checkpoint_error(self, trained_odnet,
-                                                tmp_path):
-        path = tmp_path / "empty.npz"
-        path.touch()
-        with pytest.raises(CheckpointError):
-            load_checkpoint(trained_odnet, path)
+from repro.online.snapshots import atomic_write
 
 
 class TestAtomicity:
-    def test_save_leaves_no_temp_files(self, trained_odnet, tmp_path):
-        save_checkpoint(trained_odnet, tmp_path / "model")
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["model.npz"]
+    def test_save_leaves_no_temp_files(self, tmp_path):
+        target = tmp_path / "model.snap"
+        with atomic_write(target) as handle:
+            handle.write(b"weights")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.snap"]
+        assert target.read_bytes() == b"weights"
 
-    def test_overwrite_is_all_or_nothing(self, trained_odnet, od_dataset,
-                                         tmp_path):
-        """Re-saving over an existing checkpoint keeps it loadable."""
-        path = save_checkpoint(trained_odnet, tmp_path / "model",
-                               metadata={"generation": 1})
-        path = save_checkpoint(trained_odnet, path,
-                               metadata={"generation": 2})
-        clone = build_odnet(od_dataset, TINY_MODEL_CONFIG)
-        meta = load_checkpoint(clone, path)
-        assert meta["generation"] == 2
+    def test_overwrite_is_all_or_nothing(self, tmp_path):
+        """A write that raises mid-block keeps the old bytes in place."""
+        target = tmp_path / "model.snap"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="crash"):
+            with atomic_write(target) as handle:
+                handle.write(b"half of the new")
+                assert len(list(tmp_path.glob("*.tmp"))) == 1
+                raise RuntimeError("crash mid-write")
+        assert target.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.snap"]
