@@ -51,8 +51,9 @@ __all__ = ["FrozenScoringState", "PointMemo", "frozen_view",
 def frozen_view(value):
     """``value`` with every Parameter below it replaced by the array
     bound to its ``.data`` now: a Module comes back as an instance of its
-    own class (same ``forward``, nothing registered to train), other
-    attributes pass through."""
+    own class (same ``forward``, nothing registered to train, its
+    :meth:`~repro.nn.Module.on_frozen_view` run once), other attributes
+    pass through."""
     if isinstance(value, Parameter):
         return value.data
     if isinstance(value, Module):
@@ -61,6 +62,7 @@ def frozen_view(value):
             (name, frozen_view(child)) for name, child in vars(value).items()
             if name not in ("_parameters", "_modules")
         )
+        view.on_frozen_view()
         return view
     if isinstance(value, (list, tuple)):
         return [frozen_view(child) for child in value]

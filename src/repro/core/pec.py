@@ -86,31 +86,25 @@ class PreferenceExtraction(Module):
         both = np.stack([entry[1] for entry in found])
         return both[:, 0], both[:, 1]
 
-    def build_query(
-        self,
-        v_l: Tensor,
-        v_s: Tensor,
-        user_emb: Tensor,
-        current_city_emb: Tensor,
-        candidate_emb: Tensor,
-        xst: np.ndarray,
-    ) -> Tensor:
-        """Assemble the tower input ``q^X`` (Fig. 4).
+    # The tower input q^X (Fig. 4) is point_columns then candidate_columns.
+    # The paper concatenates (v_L, e_v, e_lbs, e_c, x_st).  We additionally
+    # expose v_S and append the elementwise products v_L ⊙ e_c, v_S ⊙ e_c
+    # and e_v ⊙ e_c: explicit preference-candidate interactions make the
+    # affinity linearly learnable by the towers, which is necessary at
+    # reproduction scale (documented in DESIGN.md; the products carry no
+    # information beyond the paper's inputs).
+    @staticmethod
+    def point_columns(v_l, v_s, user_emb, current_city_emb) -> Tensor:
+        """The first ``4·d`` columns of ``q^X``: ``(v_L, v_S, e_v,
+        e_lbs)``, which every candidate of one decision point shares."""
+        return concat([v_l, v_s, user_emb, current_city_emb], axis=-1)
 
-        The paper concatenates ``(v_L, e_v, e_lbs, e_c, x_st)``.  We
-        additionally expose ``v_S`` and append the elementwise products
-        ``v_L ⊙ e_c``, ``v_S ⊙ e_c`` and ``e_v ⊙ e_c``: explicit
-        preference-candidate interactions make the affinity linearly
-        learnable by the towers, which is necessary at reproduction scale
-        (documented in DESIGN.md; the products carry no information beyond
-        the paper's inputs).
-        """
+    @staticmethod
+    def candidate_columns(v_l, v_s, user_emb, candidate_emb, xst) -> Tensor:
+        """The rest of ``q^X``: ``e_c``, its three products and ``x_st``,
+        which read the candidate city."""
         return concat(
             [
-                v_l,
-                v_s,
-                user_emb,
-                current_city_emb,
                 candidate_emb,
                 v_l * candidate_emb,
                 v_s * candidate_emb,
@@ -120,7 +114,7 @@ class PreferenceExtraction(Module):
             axis=-1,
         )
 
-    def aware_query(
+    def query_blocks(
         self,
         users: Tensor,
         cities: Tensor,
@@ -131,9 +125,12 @@ class PreferenceExtraction(Module):
         xst: np.ndarray,
         layout: tuple[np.ndarray, np.ndarray] | None = None,
         memo=None,
-    ) -> Tensor:
-        """One aware side end to end: gathers + :meth:`forward` +
-        :meth:`build_query` for an :class:`~repro.data.dataset.ODBatch`.
+    ) -> list:
+        """One aware side end to end: gathers + :meth:`forward` + ``q^X``
+        for an :class:`~repro.data.dataset.ODBatch`, as the column blocks
+        ``[(point, of_point), (rest, None)]`` of :func:`repro.nn.project`
+        — :meth:`point_columns` once per decision point and the row map to
+        them, :meth:`candidate_columns` once per side row.
 
         Shared by ODNET's branches and the single-task variants so the
         deduplication below exists in exactly one place.
@@ -142,11 +139,12 @@ class PreferenceExtraction(Module):
         ``point_rows`` from ``batch_for_requests``), all rows of one
         decision point share the same history sequences, so the sequence
         encoders (the expensive multi-head attention) run once per
-        *point* over the ``first_rows`` subset.  With the side's
-        ``layout`` (``batch.side_layout[side]``) q^X itself is built on
-        the distinct (point, candidate city) rows ``layout[0]`` only —
-        ``q[layout[1]]`` is the per-row query; without it, on every row.
-        With a ``memo`` a point its state encoded before skips them too.
+        *point* over the ``first_rows`` subset, and so do the point
+        columns.  With the side's ``layout`` (``batch.side_layout[side]``)
+        the side rows are the distinct (point, candidate city) rows
+        ``layout[0]`` only — ``q[layout[1]]`` is the per-row query;
+        without it, every row.  With a ``memo`` a point its state encoded
+        before skips the encoders too.
         """
         first, of_point = batch.first_rows, batch.point_rows
         keep = None if layout is None else layout[0]
@@ -159,23 +157,33 @@ class PreferenceExtraction(Module):
 
         v_l, v_s = (self(*sequences(first)) if memo is None
                     else self._remembered(memo, batch, sequences))
-        return self.build_query(
-            _pick(v_l, of_point), _pick(v_s, of_point),
-            users[_pick(batch.user_ids, keep)],
-            cities[_pick(batch.current_city, keep)],
+        user = users[_pick(batch.user_ids, first)]
+        point = self.point_columns(
+            v_l, v_s, user, cities[_pick(batch.current_city, first)]
+        )
+        rest = self.candidate_columns(
+            _pick(v_l, of_point), _pick(v_s, of_point), _pick(user, of_point),
             cities[_pick(candidate, keep)], _pick(xst, keep),
         )
+        return [(point, of_point), (rest, None)]
+
+    def aware_query(self, *args, **kwargs) -> Tensor:
+        """:meth:`query_blocks` (same arguments) as one ``q^X`` matrix,
+        one row per side row."""
+        (point, of_point), (rest, _) = self.query_blocks(*args, **kwargs)
+        return concat([_pick(point, of_point), rest], axis=-1)
 
     def aware_block(self, users: Tensor, cities: Tensor, batch, side: str):
         """q^O (``side='o'``) or q^D (``'d'``) of a batch as a column block
-        ``(q, rows)`` for :meth:`repro.nn.Linear.forward`: ``q`` on the
-        side's distinct rows and their row map (``None``: every row)."""
+        ``(q, rows)`` for :func:`repro.nn.project`: ``q`` its
+        :meth:`query_blocks` on the side's distinct rows, ``rows`` their
+        row map (``None``: every row)."""
         *inputs, layout = batch.side(side)
         memo = None if batch.point_memo is None else batch.point_memo[side]
-        q = self.aware_query(users, cities, batch, *inputs, layout, memo)
+        q = self.query_blocks(users, cities, batch, *inputs, layout, memo)
         return q, None if layout is None else layout[1]
 
     @staticmethod
     def query_dim(dim: int, xst_dim: int) -> int:
-        """Dimensionality of :meth:`build_query` output."""
+        """Width of ``q^X``: both column groups."""
         return 8 * dim + xst_dim

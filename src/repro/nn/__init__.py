@@ -2,7 +2,9 @@
 
 from . import init
 from .attention import MultiHeadAttention, QueryAttention
-from .layers import MLP, Dropout, Embedding, LayerNorm, Linear, Sequential
+from .layers import (
+    MLP, Dropout, Embedding, LayerNorm, Linear, Sequential, project,
+)
 from .module import Module, Parameter
 from .recurrent import LSTM, LSTMCell, STGN, STGNCell
 
@@ -11,6 +13,7 @@ __all__ = [
     "Module",
     "Parameter",
     "Linear",
+    "project",
     "Embedding",
     "MLP",
     "Dropout",

@@ -10,7 +10,57 @@ from ..tensor import Tensor, functional as F, split
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Embedding", "MLP", "Dropout", "LayerNorm", "Sequential"]
+__all__ = ["project", "Linear", "Embedding", "MLP", "Dropout", "LayerNorm",
+           "Sequential"]
+
+
+def project(x, weight, bias=None) -> Tensor:
+    """``x Wᵀ + b`` for ``weight`` ``(out, in)``.  ``x`` is the input, or
+    a list of column blocks ``(x_b, rows_b)`` standing for
+    ``concat([x_b[rows_b] ...], -1)`` (``rows_b`` ``None``: every row is
+    its own), where ``x_b`` may itself be such a list.
+    ``W·concat = Σ_b W_b·x_b``, so each block is projected on its own
+    rows by its slice of the weight columns (one
+    :func:`~repro.tensor.split` of ``Wᵀ``) and the projections are
+    gather-added per output row: columns many rows share are projected
+    once."""
+    out_features, in_features = weight.shape
+    single = not isinstance(x, list)
+    blocks = x
+    if single:
+        flat = x if x.ndim == 2 else x.reshape(-1, in_features)
+        blocks = [(flat, None)]
+    widths = [_width(part) for part, _ in blocks]
+    if sum(widths) != in_features:
+        raise ValueError(
+            f"blocks are {sum(widths)} columns wide, expected {in_features}"
+        )
+    out = None
+    for (part, rows), piece in zip(blocks, split(weight.transpose(), widths)):
+        if isinstance(part, list):
+            projected = project(part, piece.transpose())
+        else:
+            projected = part @ piece
+        if out is None and bias is not None:
+            projected = projected + bias  # on the block's own rows
+        if rows is not None:
+            projected = projected[rows]
+        if out is None:
+            out = projected
+        else:
+            # In place on an array (``out`` is always one this call made),
+            # a new node on a Tensor: the same sum either way.
+            out += projected
+    if single and x.ndim != 2:
+        out = out.reshape(*x.shape[:-1], out_features)
+    return out
+
+
+def _width(part) -> int:
+    """Columns of a block's input (nested blocks summed)."""
+    if isinstance(part, list):
+        return sum(_width(inner) for inner, _ in part)
+    return part.shape[-1]
 
 
 class Linear(Module):
@@ -34,36 +84,8 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_features), name="linear.bias") if bias else None
 
     def forward(self, x) -> Tensor:
-        """``x`` is the input, or a list of column blocks ``(x_b, rows_b)``
-        standing for ``concat([x_b[rows_b] ...], -1)`` (``rows_b`` ``None``:
-        every row is its own).  ``W·concat = Σ_b W_b·x_b``, so each block
-        is projected on its own rows by its slice of the weight columns
-        (one :func:`~repro.tensor.split` of ``Wᵀ``) and the projections
-        are gather-added per output row."""
-        single = not isinstance(x, list)
-        blocks = x
-        if single:
-            flat = x if x.ndim == 2 else x.reshape(-1, self.in_features)
-            blocks = [(flat, None)]
-        widths = [part.shape[-1] for part, _ in blocks]
-        if sum(widths) != self.in_features:
-            raise ValueError(
-                f"blocks are {sum(widths)} columns wide, "
-                f"expected {self.in_features}"
-            )
-        out = None
-        for (part, rows), weight in zip(
-            blocks, split(self.weight.transpose(), widths)
-        ):
-            projected = part @ weight
-            if out is None and self.bias is not None:
-                projected = projected + self.bias  # on the block's own rows
-            if rows is not None:
-                projected = projected[rows]
-            out = projected if out is None else out + projected
-        if single and x.ndim != 2:
-            out = out.reshape(*x.shape[:-1], self.out_features)
-        return out
+        """``x Wᵀ + b`` on ``x`` or its column blocks (see :func:`project`)."""
+        return project(x, self.weight, self.bias)
 
 
 class Embedding(Module):

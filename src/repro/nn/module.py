@@ -156,6 +156,12 @@ class Module:
             param.data = np.array(state[name], dtype=np.float64)
             param.bump_version()
 
+    def on_frozen_view(self) -> None:
+        """Called once on a view :func:`repro.core.fused.frozen_view`
+        built, after its parameters became arrays.  A module whose
+        forward reads arrays derived from its weights alone builds them
+        here, so that no request does.  Nothing by default."""
+
     # ------------------------------------------------------------------
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

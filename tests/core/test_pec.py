@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.pec import PreferenceExtraction
-from repro.tensor import Tensor
+from repro.tensor import Tensor, concat
 
 
 @pytest.fixture()
@@ -64,12 +64,18 @@ class TestForward:
         assert not np.allclose(v1.data, v2.data)
 
 
+def _query(pec, v_l, v_s, user, current, cand, xst):
+    """``q^X`` as the joint head reads it: both column groups."""
+    return concat([pec.point_columns(v_l, v_s, user, current),
+                   pec.candidate_columns(v_l, v_s, user, cand, xst)], axis=-1)
+
+
 class TestBuildQuery:
     def test_query_dimension(self, pec, rng):
         batch, dim, xst_dim = 3, 8, 11
         parts = [Tensor(rng.normal(size=(batch, dim))) for _ in range(5)]
         xst = rng.normal(size=(batch, xst_dim))
-        q = pec.build_query(parts[0], parts[1], parts[2], parts[3], parts[4], xst)
+        q = _query(pec, parts[0], parts[1], parts[2], parts[3], parts[4], xst)
         assert q.shape == (batch, PreferenceExtraction.query_dim(dim, xst_dim))
 
     def test_products_present(self, pec, rng):
@@ -79,7 +85,7 @@ class TestBuildQuery:
         user = Tensor(np.ones((batch, dim)) * 5)
         current = Tensor(np.zeros((batch, dim)))
         cand = Tensor(np.ones((batch, dim)) * 7)
-        q = pec.build_query(v_l, v_s, user, current, cand, np.zeros((batch, 1)))
+        q = _query(pec, v_l, v_s, user, current, cand, np.zeros((batch, 1)))
         # layout: v_l, v_s, user, current, cand, v_l*c, v_s*c, user*c, xst
         np.testing.assert_allclose(q.data[:, 5 * dim:6 * dim], 14.0)
         np.testing.assert_allclose(q.data[:, 6 * dim:7 * dim], 21.0)

@@ -294,6 +294,9 @@ def _block_layouts():
         "every-row-distinct": (np.arange(4), np.arange(4)),
         "multi-request": (multi, np.array([0, 1, 0, 1, 2, 3, 4])),
         "training": (None, None),
+        # Each side block nested as PEC builds it: two columns shared by
+        # the rows of one point (two points here), the rest per row.
+        "point-columns": (multi, np.array([0, 1, 0, 1, 2, 3, 4])),
     }
 
 
@@ -308,19 +311,40 @@ def _blocks(layout, rng, wrap=lambda x: x):
     def count(rows):
         return size if rows is None else int(rows.max()) + 1
 
+    def side(rows, width):
+        if layout != "point-columns":
+            return wrap(rng.normal(size=(count(rows), width)))
+        return [(wrap(rng.normal(size=(2, 2))), np.arange(count(rows)) % 2),
+                (wrap(rng.normal(size=(count(rows), width - 2))), None)]
+
     return [
-        (wrap(rng.normal(size=(count(rows_o), WIDTHS[0]))), rows_o),
-        (wrap(rng.normal(size=(count(rows_d), WIDTHS[1]))), rows_d),
+        (side(rows_o, WIDTHS[0]), rows_o),
+        (side(rows_d, WIDTHS[1]), rows_d),
         (wrap(rng.normal(size=(size, WIDTHS[2]))), None),
     ]
+
+
+def _leaves(blocks):
+    """Every input array or Tensor of (nested) blocks."""
+    return [leaf for x, _ in blocks
+            for leaf in (_leaves(x) if isinstance(x, list) else [x])]
+
+
+def _wrapped(blocks):
+    """The blocks with every input a Tensor."""
+    return [(_wrapped(x) if isinstance(x, list) else Tensor(x), rows)
+            for x, rows in blocks]
 
 
 def _gathered_concat(blocks):
     """What the blocks stand for, materialised (the pre-block-input path)."""
     from repro.tensor import concat
-    return concat(
-        [x if rows is None else x[rows] for x, rows in blocks], axis=-1
-    )
+
+    def gathered(x, rows):
+        x = _gathered_concat(x) if isinstance(x, list) else x
+        return x if rows is None else x[rows]
+
+    return concat([gathered(x, rows) for x, rows in blocks], axis=-1)
 
 
 def _grads(module, blocks, run):
@@ -332,7 +356,8 @@ def _grads(module, blocks, run):
     sum(o.sum() * (i + 1.0) for i, o in enumerate(out)).backward()
     return (
         [o.data for o in out],
-        [p.grad for p in module.parameters()] + [x.grad for x, _ in blocks],
+        [p.grad for p in module.parameters()]
+        + [x.grad for x in _leaves(blocks)],
     )
 
 
@@ -353,7 +378,7 @@ class TestBlockInput:
         wrap = lambda x: Tensor(x, requires_grad=True)
         blocks = _blocks(layout, _rng(), wrap)
         got = _grads(module, blocks, lambda m, b: m(b))
-        for x, _ in blocks:
+        for x in _leaves(blocks):
             x.grad = None
         expected = _grads(module, blocks, lambda m, b: m(_gathered_concat(b)))
         for g, e in zip(got[0] + got[1], expected[0] + expected[1]):
@@ -366,7 +391,7 @@ class TestBlockInput:
         module = BLOCK_MODULES[name]()
         blocks = _blocks(layout, _rng())
         with no_grad():
-            expected = module([(Tensor(x), rows) for x, rows in blocks])
+            expected = module(_wrapped(blocks))
         _assert_same(frozen_view(module)(blocks), expected)
 
     def test_an_array_block_beside_tensor_blocks(self):

@@ -32,12 +32,13 @@ from repro.serving import FlightRecommender
 from repro.serving.recall import CandidateRecall
 
 from ..conftest import TINY_MODEL_CONFIG
+from ..numerics import exact
 from .test_hot_swap import _USER_PARAMS
 
 
 def answer(response):
     return (
-        [(f.pair.origin, f.pair.destination, float(f.score).hex())
+        [(f.pair.origin, f.pair.destination, exact(f.score))
          for f in response.flights],
         response.degraded,
         [str(event) for event in response.fallbacks],

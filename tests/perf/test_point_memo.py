@@ -9,7 +9,7 @@ the same state scored with its tables passed explicitly.
 
 Exactness: a single-point batch scores bit-identically with and without
 the memo (the miss runs the same one-row call).  A multi-point batch
-agrees to 1e-12, not bitwise: the missed subset changes the row count of
+agrees at class B, not bitwise: the missed subset changes the row count of
 the encoders' GEMMs, and BLAS does not round every row count alike.
 
 Everything drawn is drawn under one fixed hypothesis profile
@@ -43,6 +43,7 @@ from repro.serving import FlightRecommender
 from repro.serving.recall import CandidateRecall
 
 from ..conftest import TINY_MODEL_CONFIG
+from ..numerics import assert_class_a, assert_class_b
 from .test_hot_swap import _USER_PARAMS
 
 settings.register_profile(
@@ -144,7 +145,7 @@ class TestInterleaving:
                 day = world.pinned[user] if day == 0 else ADHOC_DAY + day
                 batch = world.batch((user, day))
                 state = session._lookup()
-                np.testing.assert_array_equal(
+                assert_class_a(
                     session.score_pairs(batch), explicit(state, batch)
                 )
             elif op == "click":
@@ -197,7 +198,7 @@ class TestRowReuse:
         assert batch.point_keys[1][0] > stamp
         state = session._lookup()
         assert state.memo["o"][row][0] == stamp   # the old point, still there
-        np.testing.assert_array_equal(
+        assert_class_a(
             session.score_pairs(batch), explicit(state, batch)
         )
         assert not np.array_equal(
@@ -227,7 +228,7 @@ class TestRowReuse:
         assert mine.point_keys[0][0] == theirs.point_keys[0][0]
         state = world.session._lookup()
         state.score_pairs(mine)
-        np.testing.assert_array_equal(
+        assert_class_a(
             state.score_pairs(theirs), explicit(state, theirs)
         )
 
@@ -253,10 +254,7 @@ class TestRowReuse:
         rows, stamps = batch.point_keys
         assert stamps[0] == 0 and stamps[1] > 0
         state = world.session._lookup()
-        np.testing.assert_allclose(
-            state.score_pairs(batch), explicit(state, batch),
-            rtol=0, atol=1e-12,
-        )
+        assert_class_b(state.score_pairs(batch), explicit(state, batch))
         for side in state.memo.values():   # scored, not remembered
             assert int(rows[0]) not in side and int(rows[1]) in side
 
@@ -298,14 +296,9 @@ class TestMultiPoint:
         after = session.point_memo
         assert after["hits"] - before["hits"] == 8
         assert after["misses"] - before["misses"] == 8
-        np.testing.assert_allclose(
-            scores, explicit(state, batch), rtol=0, atol=1e-12
-        )
+        assert_class_b(scores, explicit(state, batch))
         # ... and all-hit: every point remembered by now.
-        np.testing.assert_allclose(
-            session.score_pairs(batch), explicit(state, batch),
-            rtol=0, atol=1e-12,
-        )
+        assert_class_b(session.score_pairs(batch), explicit(state, batch))
         assert session.point_memo["misses"] == after["misses"]
 
     def test_a_served_point_is_remembered_in_a_multi_point_batch(
@@ -323,9 +316,7 @@ class TestMultiPoint:
         # The served point's two aware sides hit; the other five miss.
         assert after["hits"] - before["hits"] == 2
         assert after["misses"] - before["misses"] == 10
-        np.testing.assert_allclose(
-            scores, explicit(state, batch), rtol=0, atol=1e-12
-        )
+        assert_class_b(scores, explicit(state, batch))
         # The served point's rows rank as recommend served them.
         rows = np.flatnonzero(batch.point_rows == 2)
         _, candidates = world.request(2, ADHOC_DAY)
@@ -333,14 +324,9 @@ class TestMultiPoint:
         assert [f.pair for f in warm.flights] == [
             candidates[i] for i in order
         ]
-        np.testing.assert_allclose(
-            [f.score for f in warm.flights], scores[rows][order],
-            rtol=0, atol=1e-12,
-        )
+        assert_class_b([f.score for f in warm.flights], scores[rows][order])
         # ... and all-hit: every point remembered by now.
-        np.testing.assert_allclose(
-            session.score_pairs(batch), scores, rtol=0, atol=1e-12
-        )
+        assert_class_b(session.score_pairs(batch), scores)
         assert session.point_memo["misses"] == after["misses"]
 
     def test_single_point_is_bitwise(self, world):
@@ -348,8 +334,8 @@ class TestMultiPoint:
         state = world.session._lookup()
         miss = world.session.score_pairs(batch)
         hit = world.session.score_pairs(batch)
-        np.testing.assert_array_equal(miss, hit)
-        np.testing.assert_array_equal(hit, explicit(state, batch))
+        assert_class_a(miss, hit)
+        assert_class_a(hit, explicit(state, batch))
 
     def test_a_point_with_no_candidates_has_no_row_and_no_key(self, world):
         point, candidates = world.request(0, ADHOC_DAY)
@@ -359,7 +345,7 @@ class TestMultiPoint:
         )
         assert len(batch.point_keys[0]) == len(batch.first_rows) == 1
         state = world.session._lookup()
-        np.testing.assert_array_equal(
+        assert_class_a(
             state.score_pairs(batch), explicit(state, batch)
         )
         empty = world.dataset.batch_for_requests([(point, [])])
@@ -387,14 +373,12 @@ class TestSwap:
         moved = world.session.score_pairs(batch)
         assert world.session.point_memo["hits"] - before == 4
         # the new user rows are what scored ...
-        np.testing.assert_allclose(
-            moved, explicit(new, batch), rtol=0, atol=1e-12
-        )
+        assert_class_b(moved, explicit(new, batch))
         user0 = batch.user_ids == 0
         assert not np.array_equal(moved[user0], scores[user0])
-        np.testing.assert_array_equal(moved[~user0], scores[~user0])
+        assert_class_a(moved[~user0], scores[~user0])
         # ... and a reader still holding the old state scores the old one.
-        np.testing.assert_array_equal(old.score_pairs(batch), scores)
+        assert_class_a(old.score_pairs(batch), scores)
 
     @pytest.mark.parametrize("how", [
         "full", "invalidate", "pec_weight", "city_row", "unverified",
@@ -424,13 +408,10 @@ class TestSwap:
             session.swap(world.moved(4, [0, 5]), touched_users=[0])
         new = session._lookup()
         assert new.memo is not old.memo and entries(new) == 0
-        np.testing.assert_allclose(
-            session.score_pairs(batch), explicit(new, batch),
-            rtol=0, atol=1e-12,
-        )
+        assert_class_b(session.score_pairs(batch), explicit(new, batch))
         assert entries(new) == 4
         # The reader holding the old state: the old version, bit for bit.
-        np.testing.assert_array_equal(old.score_pairs(batch), scores)
+        assert_class_a(old.score_pairs(batch), scores)
         assert entries(old) == 4
 
     def test_a_rebuild_by_a_reader_starts_empty(self, world):
@@ -439,9 +420,7 @@ class TestSwap:
         new_scores = world.session.score_pairs(batch)
         new = world.session._lookup()
         assert new is not old and new.memo is not old.memo
-        np.testing.assert_allclose(
-            new_scores, explicit(new, batch), rtol=0, atol=1e-12
-        )
+        assert_class_b(new_scores, explicit(new, batch))
 
 
 # ----------------------------------------------------------------------
@@ -518,9 +497,9 @@ class TestSubclass:
         first = session.score_pairs(batch)
         state = session._lookup()
         assert session.point_memo == {"hits": 0, "misses": 2, "entries": 2}
-        np.testing.assert_array_equal(session.score_pairs(batch), first)
+        assert_class_a(session.score_pairs(batch), first)
         assert session.point_memo["hits"] == 2
-        np.testing.assert_array_equal(first, explicit(state, batch))
+        assert_class_a(first, explicit(state, batch))
 
 
 # ----------------------------------------------------------------------

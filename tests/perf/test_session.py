@@ -14,6 +14,7 @@ from repro.serving import CandidateRecall
 from repro.train import TrainConfig, Trainer
 
 from ..conftest import TINY_MODEL_CONFIG
+from ..numerics import assert_class_a, assert_class_b
 
 
 @pytest.fixture()
@@ -47,7 +48,7 @@ class TestProtocol:
 def _fresh_table_scores(model, batch):
     """Scores from all-users tables built right now — what a session
     that rebuilt must serve, bit for bit.  (``model.score_pairs(batch)``
-    alone propagates the batch's users only: same rows to 1e-12, not
+    alone propagates the batch's users only: same rows at class B, not
     bitwise, because the GEMM row count differs.)"""
     return np.asarray(
         model.score_pairs(batch, tables=model.embedding_tables())
@@ -60,19 +61,16 @@ class TestBitIdentity:
         session = model.freeze()
         for _ in range(2):  # miss then hit — both must match exactly
             cached = np.asarray(session.score_pairs(batch))
-            np.testing.assert_array_equal(fresh, cached)
+            assert_class_a(fresh, cached)
 
     def test_trained_model_bit_identical(self, trained_odnet, batch):
         session = InferenceSession(trained_odnet)
         cached = np.asarray(session.score_pairs(batch))
-        np.testing.assert_array_equal(
+        assert_class_a(
             _fresh_table_scores(trained_odnet, batch), cached
         )
         # On-demand rows of the batch's users: equal, not bit-equal.
-        np.testing.assert_allclose(
-            np.asarray(trained_odnet.score_pairs(batch)), cached,
-            rtol=0, atol=1e-12,
-        )
+        assert_class_b(np.asarray(trained_odnet.score_pairs(batch)), cached)
 
 
 class TestAccounting:
@@ -115,7 +113,7 @@ class TestInvalidation:
         after = np.asarray(session.score_pairs(batch))
         assert session.misses == 2  # recomputed, not served stale
         assert not np.array_equal(before, after)
-        np.testing.assert_array_equal(
+        assert_class_a(
             _fresh_table_scores(model, batch), after
         )
 
@@ -125,7 +123,7 @@ class TestInvalidation:
         Trainer(TrainConfig(epochs=1, seed=0)).fit(model, od_dataset)
         after = np.asarray(session.score_pairs(batch))
         assert session.misses == 2
-        np.testing.assert_array_equal(
+        assert_class_a(
             _fresh_table_scores(model, batch), after
         )
 
@@ -146,4 +144,4 @@ class TestInvalidation:
         model.load_state_dict(store.load().state)
         restored = np.asarray(session.score_pairs(batch))
         assert session.misses == 2
-        np.testing.assert_array_equal(initial, restored)
+        assert_class_a(initial, restored)

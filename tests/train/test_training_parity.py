@@ -9,11 +9,16 @@ parameter.  The pins below were taken with the straightforward engine
 masked softmax as three nodes, per-slice zero arrays in the block-input
 ``Linear``, fresh Adam moments).
 
+The pins are a tripwire, not a bound: a change that re-associates a
+training kernel (class C of ``tests/numerics.py``) re-pins what it moved
+in the same diff and names the class beside the pin, while the losses
+stay within the class-C bound of the previous pins.
+
 Bits also depend on the host's numeric kernels (BLAS GEMM blocking,
 numpy's SIMD ``exp``/``log``).  The hex pins hold on a host whose kernel
 fingerprint matches the one they were taken on; elsewhere that part is
-skipped with the fingerprint in the reason and only the 1e-6 relative
-check runs.
+skipped with the fingerprint in the reason and only the class-C check
+runs.
 """
 
 from __future__ import annotations
@@ -28,11 +33,16 @@ from repro.data import FliggyConfig, ODDataset, generate_fliggy_dataset
 from repro.data.world import WorldConfig
 from repro.train import TrainConfig, Trainer
 
+from ..numerics import assert_class_c_losses
+
 PINNED_FINGERPRINT = "7137fce9ceafcfa8"
 PINNED_LOSSES = [
     "0x1.1598b0392b6bcp-1", "0x1.4ff157471e43cp-2", "0x1.0d147ca1ee9adp-2",
 ]
-PINNED_DIGEST = "1d2782c4eb9904412d7192b0"
+# Class C: taken with the joint head's one projection through its stacked
+# expert and gate weights, a wider GEMM that rounds unlike one per expert
+# and gate; the loss pins above held.
+PINNED_DIGEST = "24eb32364e5c3273acf7e72c"
 
 
 def _kernel_fingerprint() -> str:
@@ -71,9 +81,9 @@ def fitted():
 
 def test_losses_within_1e6_of_the_pins(fitted):
     losses, _ = fitted
-    np.testing.assert_allclose(
+    assert_class_c_losses(
         [float.fromhex(loss) for loss in losses],
-        [float.fromhex(loss) for loss in PINNED_LOSSES], rtol=1e-6,
+        [float.fromhex(loss) for loss in PINNED_LOSSES],
     )
 
 
