@@ -36,22 +36,15 @@ def pec_history_attention(
     pec = model.origin_pec if side == "o" else model.dest_pec
     long_ids = batch.long_origins if side == "o" else batch.long_destinations
     short_ids = batch.short_origins if side == "o" else batch.short_destinations
-    model.eval()
-    with no_grad():
+    with model.eval_mode(), no_grad():
         _, cities = hsgc.node_embeddings(users=())
-        long_seq = cities[long_ids]
-        short_seq = cities[short_ids]
-        length = long_seq.shape[1]
-        positioned = long_seq + pec.positional[:length]
-        encoded_long = pec.long_encoder(positioned, mask=batch.long_mask)
-        encoded_short = pec.short_encoder(short_seq, mask=batch.short_mask)
-        from ..tensor import functional as F
-
-        v_s = F.masked_mean_pool(encoded_short, batch.short_mask, axis=1)
+        encoded_long, v_s = pec.encode(
+            cities[long_ids], batch.long_mask, cities[short_ids],
+            batch.short_mask,
+        )
         weights = pec.history_attention.attention_weights(
             v_s, encoded_long, mask=batch.long_mask
         )
-    model.train()
     return np.asarray(weights.data)
 
 
@@ -73,10 +66,8 @@ def city_embedding_neighbors(
     this is the direct evidence behind destination exploration.
     """
     hsgc = model.origin_hsgc if side == "o" else model.dest_hsgc
-    model.eval()
-    with no_grad():
+    with model.eval_mode(), no_grad():
         _, cities = hsgc.node_embeddings(users=())
-    model.train()
     table = np.asarray(cities.data)
     # Centre first: ReLU outputs share a large positive common direction
     # that would saturate raw cosine similarity.
@@ -97,8 +88,7 @@ def hsgc_user_neighbor_attention(
     if hsgc.depth == 0 or hsgc.neighbor_table is None:
         raise ValueError("model has no graph propagation (depth=0)")
     table = hsgc.neighbor_table
-    model.eval()
-    with no_grad():
+    with model.eval_mode(), no_grad():
         user_emb = hsgc.user_embedding.weight.data[user_id]
         city_table = hsgc.city_embedding.weight.data
         neighbors = table.user_neighbors[user_id]
@@ -111,7 +101,6 @@ def hsgc_user_neighbor_attention(
         weights = np.exp(shifted)
         weights[~mask] = 0.0
         weights /= weights.sum()
-    model.train()
     return [
         (int(city), float(weight))
         for city, weight, valid in zip(neighbors, weights, mask)

@@ -59,13 +59,27 @@ class PreferenceExtraction(Module):
         short_mask: np.ndarray,
     ) -> tuple[Tensor, Tensor]:
         """Return ``(v_L, v_S)``, both of shape (B, d)."""
+        encoded_long, v_s = self.encode(long_seq, long_mask, short_seq,
+                                        short_mask)
+        v_l = self.history_attention(v_s, encoded_long, mask=long_mask)
+        return v_l, v_s
+
+    def encode(
+        self,
+        long_seq: Tensor,
+        long_mask: np.ndarray,
+        short_seq: Tensor,
+        short_mask: np.ndarray,
+    ) -> tuple[Tensor, Tensor]:
+        """Eq. 3 on both sequences and the short-term pool: the encoded
+        long-term matrix ``(B, L, d)`` and ``v_S`` ``(B, d)``, what the
+        Eqs. 4-5 attention of :meth:`forward` reads."""
         length = long_seq.shape[1]
         positioned = long_seq + self.positional[:length]
         encoded_long = self.long_encoder(positioned, mask=long_mask)
         encoded_short = self.short_encoder(short_seq, mask=short_mask)
         v_s = F.masked_mean_pool(encoded_short, short_mask, axis=1)
-        v_l = self.history_attention(v_s, encoded_long, mask=long_mask)
-        return v_l, v_s
+        return encoded_long, v_s
 
     def _remembered(self, memo, batch, sequences) -> tuple:
         """:meth:`forward` per point through one side's :class:`~repro.core.

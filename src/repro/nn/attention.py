@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, functional as F
+from ..tensor import Tensor, concat, functional as F
 from . import init
 from .module import Module, Parameter
 
@@ -13,11 +13,12 @@ __all__ = ["MultiHeadAttention", "QueryAttention"]
 
 
 class MultiHeadAttention(Module):
-    """Multi-head self/cross-attention following Vaswani et al. (Eq. 3).
+    """Multi-head self-attention following Vaswani et al. (Eq. 3).
 
     ``MultiHead(E) = concat(head_1, ..., head_h) W^O`` with
     ``head_i = Attention(E W_i^Q, E W_i^K, E W_i^V)``; head dimension
-    ``d_k = d / h`` as in the paper.
+    ``d_k = d / h`` as in the paper.  Each row attends over its valid
+    positions only (:func:`repro.tensor.functional.multi_head_attention`).
     """
 
     def __init__(self, dim: int, num_heads: int, rng: np.random.Generator):
@@ -26,43 +27,32 @@ class MultiHeadAttention(Module):
             raise ValueError(f"dim {dim} must be divisible by num_heads {num_heads}")
         self.dim = dim
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.w_q = Parameter(init.gaussian((dim, dim), rng), name="mha.w_q")
         self.w_k = Parameter(init.gaussian((dim, dim), rng), name="mha.w_k")
         self.w_v = Parameter(init.gaussian((dim, dim), rng), name="mha.w_v")
         self.w_o = Parameter(init.gaussian((dim, dim), rng), name="mha.w_o")
 
-    def _split_heads(self, x: Tensor, batch: int, length: int) -> Tensor:
-        # (B, L, D) -> (B, H, L, d_k)
-        return x.reshape(batch, length, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
+    def stacked(self):
+        """The column stack ``[W_q | W_k | W_v]`` the op projects through.
+        A live module builds it per call with Tensor ``concat``, so each
+        matrix gets its gradient back; a frozen view reads the array it
+        captured once (:meth:`on_frozen_view`)."""
+        captured = vars(self).get("_captured")
+        if captured is not None:
+            return captured
+        return concat([self.w_q, self.w_k, self.w_v], axis=-1)
 
-    def forward(
-        self,
-        x: Tensor,
-        mask: np.ndarray | None = None,
-        context: Tensor | None = None,
-    ) -> Tensor:
+    def on_frozen_view(self) -> None:
+        vars(self)["_captured"] = self.stacked()
+
+    def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Self-attention over ``x`` of shape ``(B, L, D)``.
 
-        ``mask`` is ``(B, L)`` with True at valid (non-padded) positions.
-        If ``context`` is given, keys/values come from it (cross-attention).
+        ``mask`` is ``(B, L)`` with True at valid (non-padded) positions;
+        a padded position reads 0.
         """
-        batch, length, _ = x.shape
-        source = context if context is not None else x
-        src_len = source.shape[1]
-
-        q = self._split_heads(x @ self.w_q, batch, length)
-        k = self._split_heads(source @ self.w_k, batch, src_len)
-        v = self._split_heads(source @ self.w_v, batch, src_len)
-
-        attn_mask = None
-        if mask is not None:
-            # (B, L_k) -> (B, 1, 1, L_k): queries may attend to valid keys.
-            attn_mask = np.asarray(mask, dtype=bool)[:, None, None, :]
-        out, _ = F.scaled_dot_product_attention(q, k, v, mask=attn_mask)
-        # (B, H, L, d_k) -> (B, L, D)
-        out = out.transpose(0, 2, 1, 3).reshape(batch, length, self.dim)
-        return out @ self.w_o
+        return F.multi_head_attention(x, mask, self.stacked(), self.w_o,
+                                      self.num_heads)
 
 
 class QueryAttention(Module):

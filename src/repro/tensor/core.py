@@ -33,6 +33,7 @@ __all__ = [
     "stack",
     "where",
     "maximum",
+    "multi_head_attention",
 ]
 
 # Grad mode is per-thread: concurrent serving threads each run under
@@ -127,6 +128,115 @@ def _masked_softmax_parts(x, mask: np.ndarray, axis: int):
     weights = softmax_array(masked_fill_array(x, ~mask, -1e30), axis)
     return weights, np.asarray(mask.any(axis=axis, keepdims=True),
                                dtype=np.float64)
+
+
+def _attention_plan(mask, batch: int, length: int):
+    """Where each row's valid positions sit in the packed ``(N, D)``
+    block of :func:`multi_head_attention_array`: ``(rows, groups)``.
+
+    ``rows`` gathers the packed block from ``x.reshape(B * L, D)`` —
+    ``None`` when every position is valid (the block is ``x`` itself),
+    the flattened boolean mask when every row has one length (row-major
+    order already groups them), else flat positions of the rows in a
+    stable order by length.  ``groups`` lists ``(start, rows, length)``
+    per length of at least one, each one contiguous run of
+    ``rows * length`` packed positions."""
+    if mask is None:
+        return None, [(0, batch, length)] if length else []
+    mask = np.asarray(mask, dtype=bool)
+    counts = mask.sum(axis=1)
+    if not counts.size or (counts == counts[0]).all():
+        size = int(counts[0]) if counts.size else 0
+        if size == length:
+            return None, [(0, batch, length)] if length else []
+        return mask.reshape(-1), [(0, batch, size)] if size else []
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    flat = np.flatnonzero(mask[order])
+    rows = order[flat // length] * length + flat % length
+    sizes, firsts, members = np.unique(sorted_counts, return_index=True,
+                                       return_counts=True)
+    starts = np.cumsum(sorted_counts)[firsts] - sizes
+    return rows, [(int(start), int(n), int(size))
+                  for start, n, size in zip(starts, members, sizes) if size]
+
+
+def _heads(block: np.ndarray, rows: int, heads: int) -> np.ndarray:
+    """``(n·l, D)`` rows of ``n`` sequences as an ``(n, H, l, d_k)``
+    view: head ``i`` is columns ``i·d_k … (i+1)·d_k``."""
+    return block.reshape(rows, -1, heads, block.shape[1] // heads
+                         ).transpose(0, 2, 1, 3)
+
+
+def _qkv_heads(block: np.ndarray, rows: int, heads: int):
+    """``(n·l, 3D)`` rows as the ``(n, H, l, d_k)`` views of their Q, K
+    and V column blocks."""
+    return block.reshape(rows, -1, 3, heads, block.shape[1] // (3 * heads)
+                         ).transpose(2, 0, 3, 1, 4)
+
+
+def _transposed(x: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``x`` with its last two axes swapped: numpy's
+    batched matmul runs several times slower on a transposed right
+    operand than on such a copy."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
+
+
+def _keys_first(block: np.ndarray) -> np.ndarray:
+    """An ``(l_k, n, H, l_q)`` array as its ``(n, H, l_k, l_q)`` view."""
+    return block.transpose(1, 2, 0, 3)
+
+
+def _attention_parts(x, mask, w_qkv, w_o, heads: int):
+    """:func:`multi_head_attention_array` with what its backward reads:
+    ``(out, rows, groups, packed, qkv, weights, context)``."""
+    batch, length, dim = x.shape
+    head_dim = dim // heads
+    scale = 1.0 / np.sqrt(head_dim)
+    rows, groups = _attention_plan(mask, batch, length)
+    flat = x.reshape(batch * length, dim)
+    packed = flat if rows is None else flat[rows]
+    qkv = packed @ w_qkv
+    context = np.empty_like(packed)
+    weights = []
+    for start, n, size in groups:
+        stop = start + n * size
+        q, k, v = _qkv_heads(qkv[start:stop], n, heads)
+        # The weights are kept keys first, (l_k, n, H, l_q), so that the
+        # softmax reduces over the outermost axis, which numpy runs as
+        # whole-row vector operations instead of one short row at a time;
+        # ``_keys_first`` is their (n, H, l_k, l_q) view, Wᵀ per head.
+        weight = np.empty((size, n, heads, size))
+        np.matmul(k, _transposed(q), out=_keys_first(weight))
+        weight *= scale
+        weight -= weight.max(axis=0)
+        np.exp(weight, out=weight)
+        weight /= weight.sum(axis=0)
+        weights.append(weight)
+        np.matmul(_keys_first(weight).swapaxes(-1, -2), v,
+                  out=_heads(context[start:stop], n, heads))
+    projected = context @ w_o
+    if rows is None:
+        out = projected.reshape(batch, length, dim)
+    else:
+        out = np.zeros((batch * length, dim))
+        out[rows] = projected
+        out = out.reshape(batch, length, dim)
+    return out, rows, groups, packed, qkv, weights, context
+
+
+def multi_head_attention_array(x, mask, w_qkv, w_o, heads: int) -> np.ndarray:
+    """Multi-head self-attention (Eq. 3) over each row's valid positions.
+
+    ``x`` is ``(B, L, D)``, ``mask`` ``(B, L)`` boolean with True at valid
+    positions (``None``: all valid), ``w_qkv`` the column stack
+    ``[W_q | W_k | W_v]`` ``(D, 3D)`` and ``w_o`` ``(D, D)``; head ``i``
+    reads columns ``i·d_k … (i+1)·d_k`` of each block, ``d_k = D / heads``.
+    The valid positions are packed into one ``(N, D)`` block, projected
+    with one GEMM, attended per length group with no padded key or query,
+    projected out with one GEMM and scattered back: a padded position,
+    and so every position of an all-padding row, reads 0."""
+    return _attention_parts(x, mask, w_qkv, w_o, heads)[0]
 
 
 def _scatter_rows(rows: np.ndarray, grad: np.ndarray, shape) -> np.ndarray:
@@ -792,3 +902,58 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
             deposit(b, g * (~a_wins & ~ties) + g * 0.5 * ties)
 
     return Tensor._make(np.maximum(a.data, b.data), (a, b), backward)
+
+
+def multi_head_attention(x, mask, w_qkv, w_o, heads: int) -> Tensor:
+    """:func:`multi_head_attention_array` as one node.  Its backward
+    differentiates each of the forward's length groups on the weights the
+    forward kept; the weight gradients are one ``packedᵀ · dQKV`` and one
+    ``contextᵀ · dout`` GEMM, the input gradient one
+    ``dQKV · [W_q | W_k | W_v]ᵀ`` GEMM scattered back (a padded position
+    gets 0)."""
+    x, w_qkv, w_o = as_tensor(x), as_tensor(w_qkv), as_tensor(w_o)
+    out, rows, groups, packed, qkv, weights, context = _attention_parts(
+        x.data, mask, w_qkv.data, w_o.data, heads)
+    batch, length, dim = x.data.shape
+    head_dim = dim // heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    def backward(grad, deposit):
+        flat = np.asarray(grad).reshape(batch * length, dim)
+        grad_out = flat if rows is None else flat[rows]
+        if w_o.requires_grad:
+            deposit(w_o, context.T @ grad_out)
+        if not (x.requires_grad or w_qkv.requires_grad):
+            return
+        grad_context = grad_out @ w_o.data.T
+        grad_qkv = np.empty_like(qkv)
+        for (start, n, size), weight in zip(groups, weights):
+            stop = start + n * size
+            q, k, v = _qkv_heads(qkv[start:stop], n, heads)
+            g = _heads(grad_context[start:stop], n, heads)
+            # Written through (n, H, l, d_k) views of ``grad_qkv``'s rows.
+            grad_q, grad_k, grad_v = _qkv_heads(grad_qkv[start:stop], n, heads)
+            np.matmul(_keys_first(weight), g, out=grad_v)
+            # dWᵀ keys first, as the weights are; then the softmax's
+            # backward and the 1/√d_k factor's.
+            grad_weight = np.empty_like(weight)
+            np.matmul(v, _transposed(g), out=_keys_first(grad_weight))
+            part = grad_weight * weight
+            dot = part.sum(axis=0)
+            np.subtract(grad_weight, dot, out=part)
+            part *= weight
+            part *= scale
+            np.matmul(_keys_first(part).swapaxes(-1, -2), k, out=grad_q)
+            np.matmul(_keys_first(part), q, out=grad_k)
+        if w_qkv.requires_grad:
+            deposit(w_qkv, packed.T @ grad_qkv)
+        if x.requires_grad:
+            grad_packed = grad_qkv @ w_qkv.data.T
+            if rows is None:
+                deposit(x, grad_packed.reshape(batch, length, dim))
+            else:
+                grad_x = np.zeros((batch * length, dim))
+                grad_x[rows] = grad_packed
+                deposit(x, grad_x.reshape(batch, length, dim))
+
+    return Tensor._make(out, (x, w_qkv, w_o), backward)

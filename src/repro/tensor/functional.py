@@ -1,7 +1,7 @@
 """Composite differentiable functions built on :mod:`repro.tensor.core`.
 
 These helpers implement the numerical building blocks that the ODNET paper
-uses repeatedly: scaled dot-product attention (Eq. 3), masked softmax over
+uses repeatedly: multi-head self-attention (Eq. 3), masked softmax over
 padded neighbourhoods (Eq. 1), and the binary cross-entropy losses of
 Eqs. 9-10.
 
@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Tensor, masked_softmax_array, sigmoid_array, softmax_array
+from .core import (
+    Tensor, masked_softmax_array, multi_head_attention_array, sigmoid_array,
+    softmax_array,
+)
+from .core import multi_head_attention as multi_head_attention_node
 
 __all__ = [
     "relu",
@@ -27,7 +31,7 @@ __all__ = [
     "expand_dims",
     "binary_cross_entropy",
     "binary_cross_entropy_with_logits",
-    "scaled_dot_product_attention",
+    "multi_head_attention",
     "dropout",
     "mean_pool",
     "masked_mean_pool",
@@ -91,25 +95,19 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Ten
     return losses.mean()
 
 
-def scaled_dot_product_attention(
-    query: Tensor,
-    key: Tensor,
-    value: Tensor,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Attention(Q, K, V) = softmax(QKᵀ/√d)·V  (Vaswani et al., used in Eq. 3).
+def multi_head_attention(x: Tensor, mask: np.ndarray | None, w_qkv: Tensor,
+                         w_o: Tensor, heads: int) -> Tensor:
+    """Multi-head self-attention (Eq. 3) over each row's valid positions:
+    ``concat(head_1, ..., head_h) W_o`` with ``head_i = softmax(Q_i
+    K_iᵀ/√d_k) V_i`` and ``[Q | K | V] = x [W_q | W_k | W_v]``.
 
-    Shapes: query ``(..., Lq, d)``, key/value ``(..., Lk, d)``.
-    ``mask`` has shape broadcastable to ``(..., Lq, Lk)`` with True at valid
-    key positions.  Returns ``(output, attention_weights)``.
-    """
-    d = query.shape[-1]
-    scores = (query @ key.swapaxes(-1, -2)) * (1.0 / np.sqrt(d))
-    if mask is not None:
-        weights = masked_softmax(scores, mask, axis=-1)
-    else:
-        weights = softmax(scores, axis=-1)
-    return weights @ value, weights
+    ``x`` is ``(B, L, D)``; ``mask`` is ``(B, L)`` with True at valid
+    positions (``None``: all valid).  A padded position reads 0.  One
+    node on Tensors (:func:`repro.tensor.core.multi_head_attention`),
+    the same formula on arrays."""
+    if any(isinstance(v, Tensor) for v in (x, w_qkv, w_o)):
+        return multi_head_attention_node(x, mask, w_qkv, w_o, heads)
+    return multi_head_attention_array(x, mask, w_qkv, w_o, heads)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:

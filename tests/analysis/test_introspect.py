@@ -10,7 +10,9 @@ from repro.analysis import (
     pec_history_attention,
 )
 from repro.core import build_odnet
+from repro.nn import QueryAttention
 from tests.conftest import TINY_MODEL_CONFIG
+from tests.numerics import assert_class_a
 
 
 @pytest.fixture()
@@ -38,6 +40,91 @@ class TestPECAttention:
         trained_odnet.train()
         pec_history_attention(trained_odnet, batch)
         assert trained_odnet.training
+
+    def test_weights_are_those_the_forward_used(self, trained_odnet, batch,
+                                                monkeypatch):
+        seen = {}
+        original = QueryAttention.attention_weights
+
+        def recording(module, *args, **kwargs):
+            weights = original(module, *args, **kwargs)
+            seen[id(module)] = np.asarray(weights.data)
+            return weights
+
+        monkeypatch.setattr(QueryAttention, "attention_weights", recording)
+        trained_odnet.predict(batch)
+        for side, pec in (("o", trained_odnet.origin_pec),
+                          ("d", trained_odnet.dest_pec)):
+            assert_class_a(pec_history_attention(trained_odnet, batch, side),
+                           seen[id(pec.history_attention)])
+
+
+def _set_mode(model, training: bool) -> None:
+    model.train() if training else model.eval()
+
+
+def _all_introspections(model, batch):
+    """Each helper that switches the model to eval mode, as a call."""
+    table = model.origin_hsgc.neighbor_table
+    user = int(np.argmax(table.user_mask.sum(axis=1)))
+    return {
+        "pec_history_attention": lambda: pec_history_attention(model, batch),
+        "city_embedding_neighbors": lambda: city_embedding_neighbors(model, 0),
+        "hsgc_user_neighbor_attention":
+            lambda: hsgc_user_neighbor_attention(model, user),
+    }
+
+
+class TestModeIsRestored:
+    """An introspection leaves the model in the mode it found it in:
+    after a call, after a raising call and after an early return."""
+
+    NAMES = ["pec_history_attention", "city_embedding_neighbors",
+             "hsgc_user_neighbor_attention"]
+
+    @pytest.mark.parametrize("training", [True, False],
+                             ids=["train-in", "eval-in"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_mode_out_is_mode_in(self, trained_odnet, batch, name, training):
+        _set_mode(trained_odnet, training)
+        try:
+            _all_introspections(trained_odnet, batch)[name]()
+            assert trained_odnet.training is training
+        finally:
+            trained_odnet.train()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_raising_call_restores_the_mode(self, trained_odnet, batch,
+                                              name, monkeypatch):
+        class Raising:
+            def __call__(self, *args, **kwargs):
+                raise RuntimeError("injected")
+
+            __getitem__ = __call__
+
+        for hsgc in (trained_odnet.origin_hsgc, trained_odnet.dest_hsgc):
+            monkeypatch.setattr(hsgc, "node_embeddings", Raising())
+        monkeypatch.setattr(trained_odnet.origin_hsgc.neighbor_table,
+                            "user_neighbors", Raising())
+        trained_odnet.train()
+        with pytest.raises(RuntimeError, match="injected"):
+            _all_introspections(trained_odnet, batch)[name]()
+        assert trained_odnet.training
+
+    @pytest.mark.parametrize("training", [True, False],
+                             ids=["train-in", "eval-in"])
+    def test_a_neighbourless_user_leaves_the_mode(self, trained_odnet,
+                                                  training, monkeypatch):
+        table = trained_odnet.origin_hsgc.neighbor_table
+        mask = table.user_mask.copy()
+        mask[0] = False
+        monkeypatch.setattr(table, "user_mask", mask)
+        _set_mode(trained_odnet, training)
+        try:
+            assert hsgc_user_neighbor_attention(trained_odnet, 0) == []
+            assert trained_odnet.training is training
+        finally:
+            trained_odnet.train()
 
 
 class TestGateSummary:

@@ -142,12 +142,6 @@ class TestAttention:
         _check(mha, x, mask=mask)
         _check(mha, x)
 
-    def test_multi_head_cross_attention(self):
-        x, _ = SEQUENCES["ragged+all-padding-row"]
-        context, mask = SEQUENCES["all-tie"]
-        mha = MultiHeadAttention(DIM, HEADS, _rng())
-        _check(mha, x[:3], mask=mask, context=context)
-
     @pytest.mark.parametrize("case", SEQUENCES)
     def test_query_attention(self, case):
         keys, mask = SEQUENCES[case]
@@ -426,9 +420,11 @@ ARRAY_OPS = {
     "masked_mean_pool": lambda x: F.masked_mean_pool(
         F.expand_dims(x, -1), _MASK
     ),
-    "attention": lambda x: F.scaled_dot_product_attention(
-        x, x, x, mask=_MASK[:, :3]
-    )[0],
+    "attention": lambda x: F.multi_head_attention(
+        x.reshape(3, 2, 2), _MASK[:, :2],
+        np.linspace(-1.0, 1.0, 12).reshape(2, 6),
+        np.linspace(1.0, -1.0, 4).reshape(2, 2), 2,
+    ),
 }
 
 

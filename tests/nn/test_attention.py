@@ -28,13 +28,6 @@ class TestMultiHeadAttention:
         # Valid (query) rows must be unaffected by masked key content.
         np.testing.assert_allclose(out1[0, :2], out2[0, :2], atol=1e-8)
 
-    def test_cross_attention_context(self, rng):
-        mha = MultiHeadAttention(8, 2, rng)
-        x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 8)))
-        ctx = Tensor(np.random.default_rng(1).normal(size=(2, 6, 8)))
-        out = mha(x, context=ctx)
-        assert out.shape == (2, 3, 8)
-
     def test_gradients_reach_all_projections(self, rng):
         mha = MultiHeadAttention(8, 4, rng)
         out = mha(Tensor(np.random.default_rng(0).normal(size=(2, 3, 8))))

@@ -179,19 +179,25 @@ class TestFunctionalGradients:
         np.testing.assert_allclose(weights.data[1], np.zeros(3))
         np.testing.assert_allclose(weights.data[0].sum(), 1.0)
 
-    def test_attention_gradients(self):
+    @staticmethod
+    def _attention_matches_finite_differences(mask):
+        upstream = _rand(3, 4, 4, seed=3)
         assert_gradients_match(
-            lambda q, k, v: F.scaled_dot_product_attention(q, k, v)[0],
-            _rand(2, 3, 4), _rand(2, 5, 4, seed=1), _rand(2, 5, 4, seed=2),
+            lambda x, w_qkv, w_o: F.multi_head_attention(
+                x, mask, w_qkv, w_o, heads=2) * upstream,
+            _rand(3, 4, 4), _rand(4, 12, seed=1) * 0.5,
+            _rand(4, 4, seed=2) * 0.5,
         )
 
+    def test_attention_gradients(self):
+        self._attention_matches_finite_differences(None)
+
     def test_attention_with_mask_gradients(self):
-        mask = np.ones((2, 1, 3, 5), dtype=bool)
-        mask[0, 0, :, 3:] = False
-        assert_gradients_match(
-            lambda q, k, v: F.scaled_dot_product_attention(q, k, v, mask)[0],
-            _rand(2, 3, 4), _rand(2, 5, 4, seed=1), _rand(2, 5, 4, seed=2),
-        )
+        # Rows of three valid positions, of two with holes, and of none.
+        self._attention_matches_finite_differences(np.array([
+            [True, True, True, False], [False, True, False, True],
+            [False, False, False, False],
+        ]))
 
     def test_masked_mean_pool_gradients(self):
         mask = np.array([[True, True, False], [True, False, False]])
