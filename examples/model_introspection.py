@@ -6,8 +6,9 @@ mechanisms the paper's case study attributes to ODNET:
 - the PEC attends to the bookings most related to the short-term intent;
 - the MMoE gates route the O-task and D-task through different experts;
 - HSGC city embeddings cluster by semantic pattern (the Figure 2(d)
-  seaside effect);
-- end-to-end serving latency percentiles (the Table V SLA view).
+  seaside effect).
+
+Serving latency is measured by the benchmark harness, ``bench/run.py``.
 
 Run:  python examples/model_introspection.py
 """
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro import (
     FliggyConfig,
-    FlightRecommender,
     ODDataset,
     ODNETConfig,
     TrainConfig,
@@ -29,7 +29,6 @@ from repro.analysis import (
     pec_history_attention,
 )
 from repro.data.world import WorldConfig
-from repro.serving import measure_serving_latency
 
 
 def main():
@@ -79,12 +78,6 @@ def main():
               f" -> {'  '.join(names)}")
     print(f"  pattern agreement among top-3 neighbours: "
           f"{pattern_hits}/{checks}")
-
-    # --- 4. Serving latency percentiles ------------------------------------
-    recommender = FlightRecommender(model, dataset)
-    users = [p.history.user_id for p in dataset.source.test_points[:40]]
-    report = measure_serving_latency(recommender, users, day=725, k=10)
-    print(f"\nEnd-to-end serving latency: {report.format()}")
 
 
 if __name__ == "__main__":

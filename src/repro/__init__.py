@@ -68,7 +68,6 @@ from .graph import (
 )
 from .metrics import auc, ctr, evaluate_rankings, hit_rate_at_k, mrr_at_k
 from .obs import (
-    MetricsProfiler,
     MetricsRegistry,
     Profiler,
     Tracer,
@@ -147,7 +146,6 @@ __all__ = [
     "MetricsRegistry",
     "Tracer",
     "Profiler",
-    "MetricsProfiler",
     "use_registry",
     "use_tracer",
     "use_observability",

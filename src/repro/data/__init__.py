@@ -1,7 +1,6 @@
 """Data substrate: schemas, synthetic generators, temporal features, batching."""
 
 from .dataset import ODBatch, ODDataset, RankingTask
-from .io import load_dataset, save_dataset
 from .lbsn import LbsnConfig, foursquare_config, generate_lbsn_dataset, gowalla_config
 from .schema import (
     BookingEvent,
@@ -51,6 +50,4 @@ __all__ = [
     "ODBatch",
     "ODDataset",
     "RankingTask",
-    "save_dataset",
-    "load_dataset",
 ]

@@ -848,13 +848,9 @@ class ODDataset:
         tasks = []
         for point in points:
             true = point.target
-            seen = {true}
-            candidates = [true]
-            while len(candidates) < num_candidates:
-                pair = self._sample_distractor(true, rng)
-                if pair not in seen:
-                    seen.add(pair)
-                    candidates.append(pair)
+            candidates = [true] + self.sample_distractors(
+                true, num_candidates - 1, rng
+            )
             order = rng.permutation(len(candidates))
             shuffled = [candidates[int(i)] for i in order]
             tasks.append(
@@ -865,6 +861,27 @@ class ODDataset:
                 )
             )
         return tasks
+
+    def sample_distractors(
+        self, target: ODPair, n: int, rng: np.random.Generator
+    ) -> list[ODPair]:
+        """Up to ``n`` distinct pairs other than ``target``, each drawn as
+        one of Table I's negative forms (see :meth:`ranking_tasks`).
+
+        At most ``8 * (n + 1)`` draws: a world with fewer distinct pairs
+        around ``target`` than ``n`` would otherwise loop forever on
+        rejections, so the list comes back short instead.
+        """
+        seen = {target}
+        pairs: list[ODPair] = []
+        for _ in range(8 * (n + 1)):
+            if len(pairs) >= n:
+                break
+            pair = self._sample_distractor(target, rng)
+            if pair not in seen:
+                seen.add(pair)
+                pairs.append(pair)
+        return pairs
 
     def _random_city(self, exclude: int, rng: np.random.Generator) -> int:
         return self._popularity_draws.negative(exclude, rng)

@@ -19,7 +19,6 @@ from .comparison import (
     run_lbsn_comparison,
 )
 from .comparison import average_results
-from .gridsearch import GridPoint, GridSearchResult, run_grid_search
 from .hyperparams import SweepPoint, SweepResult, run_depth_sweep, run_heads_sweep
 from .registry import ABTEST_METHODS, ALL_METHODS, LBSN_METHODS, build_method
 from .scales import MEDIUM, SMALL, TINY, ExperimentScale, get_scale
@@ -45,7 +44,4 @@ __all__ = [
     "run_abtest",
     "format_abtest",
     "average_results",
-    "GridPoint",
-    "GridSearchResult",
-    "run_grid_search",
 ]

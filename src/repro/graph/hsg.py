@@ -14,7 +14,6 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .distance import l2_distance_matrix, spatial_weights
@@ -241,32 +240,6 @@ class HeterogeneousSpatialGraph:
                     next_frontier[nbr] += weight * nbr_weight
             frontier = next_frontier
         return frontier
-
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.MultiGraph:
-        """Export to a networkx multigraph for inspection/visualisation."""
-        graph = nx.MultiGraph()
-        for user in range(self.num_users):
-            graph.add_node(("user", user), node_type=NodeType.USER.value)
-        for city in range(self.num_cities):
-            graph.add_node(
-                ("city", city),
-                node_type=NodeType.CITY.value,
-                lon=float(self.city_coordinates[city, 0]),
-                lat=float(self.city_coordinates[city, 1]),
-            )
-        for edge_type, rows in self._user_cities.items():
-            for user, cities in enumerate(rows):
-                for city, weight in cities.items():
-                    graph.add_edge(
-                        ("user", user),
-                        ("city", city),
-                        edge_type=edge_type.value,
-                        weight=weight,
-                    )
-        return graph
 
     # ------------------------------------------------------------------
     def _check_user(self, user: int) -> None:

@@ -25,12 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from .export import read_jsonl, snapshot_records, to_prometheus, write_jsonl
-from .profiler import (
-    CompositeProfiler,
-    MetricsProfiler,
-    Profiler,
-    RecordingProfiler,
-)
+from .profiler import Profiler, RecordingProfiler
 from .registry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -76,9 +71,7 @@ __all__ = [
     "use_tracer",
     # profiler
     "Profiler",
-    "MetricsProfiler",
     "RecordingProfiler",
-    "CompositeProfiler",
     # export / summary
     "snapshot_records",
     "write_jsonl",

@@ -6,25 +6,13 @@ metrics registry: the :class:`~repro.train.trainer.Trainer` calls
 calls ``on_request``, passing keyword stats.  The base class ignores
 everything, so subclasses override only the hooks they care about.
 
-Provided implementations:
-
-- :class:`MetricsProfiler` — forwards the stats into the active (or a
-  given) :class:`~repro.obs.registry.MetricsRegistry`;
-- :class:`RecordingProfiler` — appends raw event dicts to ``events``
-  (handy in tests and for JSONL dumps);
-- :class:`CompositeProfiler` — fans every hook out to several profilers.
+:class:`RecordingProfiler` appends raw event dicts to ``events`` (handy
+in tests and for JSONL dumps).
 """
 
 from __future__ import annotations
 
-from .registry import MetricsRegistry, get_registry
-
-__all__ = [
-    "Profiler",
-    "MetricsProfiler",
-    "RecordingProfiler",
-    "CompositeProfiler",
-]
+__all__ = ["Profiler", "RecordingProfiler"]
 
 
 class Profiler:
@@ -38,42 +26,6 @@ class Profiler:
 
     def on_request(self, user_id: int, day: int, **stats) -> None:
         """End of one serving request (latency_ms, num_candidates, k)."""
-
-
-class MetricsProfiler(Profiler):
-    """Writes hook stats into a metrics registry.
-
-    With no explicit registry it resolves the active one at every call, so
-    it composes with :func:`~repro.obs.registry.use_registry` scopes.
-    """
-
-    def __init__(self, registry: MetricsRegistry | None = None):
-        self._registry = registry
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def on_epoch(self, epoch: int, **stats) -> None:
-        registry = self.registry
-        registry.counter("profiler.epochs").inc()
-        for key in ("loss", "grad_norm", "theta", "examples_per_sec"):
-            if stats.get(key) is not None:
-                registry.gauge(f"train.{key}").set(stats[key])
-
-    def on_batch(self, epoch: int, batch_index: int, **stats) -> None:
-        registry = self.registry
-        registry.counter("profiler.batches").inc()
-        if stats.get("loss") is not None:
-            registry.histogram("train.batch_loss").observe(stats["loss"])
-        if stats.get("grad_norm") is not None:
-            registry.histogram("train.grad_norm").observe(stats["grad_norm"])
-
-    def on_request(self, user_id: int, day: int, **stats) -> None:
-        registry = self.registry
-        registry.counter("profiler.requests").inc()
-        if stats.get("latency_ms") is not None:
-            registry.histogram("serving.latency_ms").observe(stats["latency_ms"])
 
 
 class RecordingProfiler(Profiler):
@@ -94,22 +46,3 @@ class RecordingProfiler(Profiler):
         self.events.append(
             {"hook": "request", "user_id": user_id, "day": day, **stats}
         )
-
-
-class CompositeProfiler(Profiler):
-    """Fans each hook out to every child profiler, in order."""
-
-    def __init__(self, *profilers: Profiler):
-        self.profilers = list(profilers)
-
-    def on_epoch(self, epoch: int, **stats) -> None:
-        for profiler in self.profilers:
-            profiler.on_epoch(epoch, **stats)
-
-    def on_batch(self, epoch: int, batch_index: int, **stats) -> None:
-        for profiler in self.profilers:
-            profiler.on_batch(epoch, batch_index, **stats)
-
-    def on_request(self, user_id: int, day: int, **stats) -> None:
-        for profiler in self.profilers:
-            profiler.on_request(user_id, day, **stats)

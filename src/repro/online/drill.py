@@ -232,13 +232,9 @@ class _OnlineEnv:
         rng = np.random.default_rng(self.config.seed + 1)
         requests = []
         for point in points:
-            seen = {point.target}
-            candidates = [point.target]
-            while len(candidates) < self.config.probe_candidates:
-                pair = self.dataset._sample_distractor(point.target, rng)
-                if pair not in seen:
-                    seen.add(pair)
-                    candidates.append(pair)
+            candidates = [point.target] + self.dataset.sample_distractors(
+                point.target, self.config.probe_candidates - 1, rng
+            )
             requests.append((point, candidates))
         return self.dataset.batch_for_requests(requests)
 

@@ -136,18 +136,9 @@ class ShadowEvaluator:
             return False
         target = ODPair(event.origin, event.destination)
         point = DecisionPoint(history=history, target=target, day=event.day)
-        seen = {target}
-        candidates = [target]
-        # Bounded draws: a world with fewer distinct OD pairs than
-        # num_candidates would loop forever on rejections — rank over
-        # however many distinct distractors the draws yielded.
-        for _ in range(8 * self.num_candidates):
-            if len(candidates) >= self.num_candidates:
-                break
-            pair = self.dataset._sample_distractor(target, self._rng)
-            if pair not in seen:
-                seen.add(pair)
-                candidates.append(pair)
+        candidates = [target] + self.dataset.sample_distractors(
+            target, self.num_candidates - 1, self._rng
+        )
         order = self._rng.permutation(len(candidates))
         self._tasks.append((point, [candidates[int(i)] for i in order]))
         self.observed += 1

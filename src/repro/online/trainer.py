@@ -264,19 +264,9 @@ class IncrementalTrainer:
                 self.events_skipped += 1
                 continue
             target = ODPair(event.origin, event.destination)
-            seen = {target}
-            candidates = [target]
-            # Bounded draws: a world with fewer distinct OD pairs than
-            # the requested width would loop forever on rejections —
-            # proceed with however many distractors the draws yielded.
-            want = 1 + self.config.negatives_per_event
-            for _ in range(8 * want):
-                if len(candidates) >= want:
-                    break
-                pair = self.dataset._sample_distractor(target, self._rng)
-                if pair not in seen:
-                    seen.add(pair)
-                    candidates.append(pair)
+            candidates = [target] + self.dataset.sample_distractors(
+                target, self.config.negatives_per_event, self._rng
+            )
             point = DecisionPoint(
                 history=history, target=target, day=event.day
             )

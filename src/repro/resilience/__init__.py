@@ -6,23 +6,20 @@ is the normal case.  This package provides the primitives that let the
 reproduction degrade instead of erroring, mirroring how Fliggy's and
 Grab's production rankers fall back to popularity/heuristic scoring:
 
-- :mod:`~repro.resilience.deadline` — :class:`Deadline` request budgets
-  with per-stage budgets and overrun histograms;
-- :mod:`~repro.resilience.retry` — :func:`retry_call` with exponential
-  backoff and deterministic seeded jitter;
+- :mod:`~repro.resilience.deadline` — :class:`Deadline` request budgets;
 - :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker` state
   machine (closed → open → half-open) over a sliding failure window;
-- :mod:`~repro.resilience.fallback` — typed :class:`FallbackPolicy` /
-  :class:`FallbackEvent` and the :func:`run_with_fallback` executor;
+- :mod:`~repro.resilience.fallback` — the :func:`run_with_fallback`
+  executor (deadline, breaker, a bounded number of back-to-back
+  attempts) and the typed :class:`FallbackEvent` it returns;
 - :mod:`~repro.resilience.chaos` — seeded :class:`FaultInjector`
   (error/latency injection keyed by site name) behind the same
   get/set/use activation pattern as the metrics registry.
 
 Everything reports through :mod:`repro.obs` (``resilience.fallbacks``,
-``resilience.breaker_open``, ``resilience.retries``, per-stage
-``resilience.stage_overrun_ms``), so ``python -m repro obs`` shows
-degradation live and ``python -m repro chaos`` demonstrates it under
-seeded faults.
+``resilience.breaker_open``, ``resilience.retries``), so ``python -m
+repro obs`` shows degradation live and ``python -m repro chaos``
+demonstrates it under seeded faults.
 """
 
 from __future__ import annotations
@@ -40,32 +37,21 @@ from .chaos import (
 )
 from .deadline import Deadline
 from .errors import (
-    BreakerOpen,
     DeadlineExceeded,
     InjectedFault,
     ResilienceError,
     RetriesExhausted,
 )
-from .fallback import (
-    FallbackEvent,
-    FallbackPolicy,
-    record_fallback,
-    run_with_fallback,
-)
-from .retry import RetryPolicy, retry_call
+from .fallback import FallbackEvent, record_fallback, run_with_fallback
 
 __all__ = [
     # errors
     "ResilienceError",
     "DeadlineExceeded",
-    "BreakerOpen",
     "RetriesExhausted",
     "InjectedFault",
     # deadline
     "Deadline",
-    # retry
-    "RetryPolicy",
-    "retry_call",
     # breaker
     "CircuitBreaker",
     "CLOSED",
@@ -73,7 +59,6 @@ __all__ = [
     "HALF_OPEN",
     # fallback
     "FallbackEvent",
-    "FallbackPolicy",
     "record_fallback",
     "run_with_fallback",
     # chaos

@@ -5,8 +5,8 @@ The breaker watches the failure rate of a named site over its last
 ``min_calls`` outcomes are in the window and the failure rate reaches
 ``failure_threshold`` the breaker trips *open* and refuses calls — the
 serving path then skips the failing stage entirely and degrades.  After
-``recovery_s`` seconds a limited number of *half-open* probes are let
-through: one success closes the breaker, one failure re-opens it.
+``recovery_s`` seconds one *half-open* probe is let through: its
+success closes the breaker, its failure re-opens it.
 
 State is exported live: gauge ``resilience.breaker_state{site=}`` (0 =
 closed, 1 = half-open, 2 = open) and counter ``resilience.breaker_open``
@@ -20,9 +20,8 @@ from collections import deque
 from typing import Callable
 
 from ..obs.registry import get_registry
-from .errors import BreakerOpen
 
-__all__ = ["CircuitBreaker", "BreakerOpen", "CLOSED", "OPEN", "HALF_OPEN"]
+__all__ = ["CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"]
 
 CLOSED = "closed"
 OPEN = "open"
@@ -41,7 +40,6 @@ class CircuitBreaker:
         failure_threshold: float = 0.5,
         min_calls: int = 5,
         recovery_s: float = 30.0,
-        half_open_max_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if window < 1:
@@ -52,18 +50,15 @@ class CircuitBreaker:
             )
         if min_calls < 1:
             raise ValueError(f"min_calls must be >= 1, got {min_calls}")
-        if half_open_max_probes < 1:
-            raise ValueError("half_open_max_probes must be >= 1")
         self.site = site
         self.failure_threshold = failure_threshold
         self.min_calls = min_calls
         self.recovery_s = recovery_s
-        self.half_open_max_probes = half_open_max_probes
         self._clock = clock
         self._outcomes: deque[bool] = deque(maxlen=window)  # True = failure
         self._state = CLOSED
         self._opened_at = 0.0
-        self._probes = 0
+        self._probing = False
         self.trips = 0
 
     # ------------------------------------------------------------------
@@ -76,7 +71,7 @@ class CircuitBreaker:
             and self._clock() - self._opened_at >= self.recovery_s
         ):
             self._transition(HALF_OPEN)
-            self._probes = 0
+            self._probing = False
         return self._state
 
     def failure_rate(self) -> float:
@@ -85,12 +80,12 @@ class CircuitBreaker:
         return sum(self._outcomes) / len(self._outcomes)
 
     def allow(self) -> bool:
-        """May a call proceed right now?  Half-open admits limited probes."""
+        """May a call proceed right now?  Half-open admits one probe."""
         state = self.state
         if state == CLOSED:
             return True
-        if state == HALF_OPEN and self._probes < self.half_open_max_probes:
-            self._probes += 1
+        if state == HALF_OPEN and not self._probing:
+            self._probing = True
             return True
         return False
 
@@ -113,21 +108,6 @@ class CircuitBreaker:
             and self.failure_rate() >= self.failure_threshold
         ):
             self._trip()
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker, recording the outcome.
-
-        Raises :class:`BreakerOpen` without calling ``fn`` when tripped.
-        """
-        if not self.allow():
-            raise BreakerOpen(self.site)
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
     # ------------------------------------------------------------------
     def _trip(self) -> None:

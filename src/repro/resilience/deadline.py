@@ -1,44 +1,39 @@
-"""Request deadlines with per-stage budgets.
+"""Request deadlines.
 
 A :class:`Deadline` is created once at the edge (``FlightRecommender.
-recommend``) and carried through the request path; each stage asks how
-much of the total budget is left before starting expensive work, and the
-platform records an overrun histogram per stage so tail latency blowups
-are attributable.  The clock is injectable so tests can drive time
-deterministically.
+recommend``) and carried through the request path; each stage asks
+whether the budget is gone before starting work and degrades if it is.
+The clock is injectable so tests can drive time deterministically.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Mapping
+from typing import Callable
 
-from ..obs.registry import get_registry
 from .errors import DeadlineExceeded
 
 __all__ = ["Deadline", "DeadlineExceeded"]
 
 
 class Deadline:
-    """A wall-clock budget (milliseconds) with optional per-stage budgets.
+    """A wall-clock budget in milliseconds.
 
     >>> deadline = Deadline(budget_ms=50.0)
     >>> deadline.remaining_ms() <= 50.0
     True
     """
 
-    __slots__ = ("budget_ms", "stage_budgets_ms", "_clock", "_start_s")
+    __slots__ = ("budget_ms", "_clock", "_start_s")
 
     def __init__(
         self,
         budget_ms: float,
-        stage_budgets_ms: Mapping[str, float] | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
         if budget_ms <= 0:
             raise ValueError(f"deadline budget must be > 0 ms, got {budget_ms}")
         self.budget_ms = float(budget_ms)
-        self.stage_budgets_ms = dict(stage_budgets_ms or {})
         self._clock = clock
         self._start_s = clock()
 
@@ -62,36 +57,3 @@ class Deadline:
                 f"deadline of {self.budget_ms:g}ms exceeded{where} "
                 f"(elapsed {self.elapsed_ms():.1f}ms)"
             )
-
-    # ------------------------------------------------------------------
-    def stage_budget_ms(self, stage: str) -> float:
-        """The budget a stage may spend: its configured per-stage budget
-        capped by whatever remains of the total."""
-        remaining = self.remaining_ms()
-        budget = self.stage_budgets_ms.get(stage)
-        if budget is None:
-            return remaining
-        return min(float(budget), remaining)
-
-    def observe_stage(self, stage: str, elapsed_ms: float) -> float:
-        """Record how a finished stage did against its budget.
-
-        Emits the per-stage overrun histogram
-        (``resilience.stage_overrun_ms{stage=...}``) when the stage blew
-        its configured budget; returns the overrun (0.0 when on budget).
-        """
-        budget = self.stage_budgets_ms.get(stage)
-        if budget is None:
-            return 0.0
-        overrun = elapsed_ms - float(budget)
-        if overrun <= 0:
-            return 0.0
-        registry = get_registry()
-        if registry.enabled:
-            registry.histogram(
-                "resilience.stage_overrun_ms", labels={"stage": stage}
-            ).observe(overrun)
-            registry.counter(
-                "resilience.deadline_overruns", labels={"stage": stage}
-            ).inc()
-        return overrun

@@ -2,13 +2,13 @@
 
 Every failure the layer itself raises derives from :class:`ResilienceError`
 so callers can catch degradation-control decisions (deadline overruns,
-open breakers, injected chaos) separately from genuine application bugs.
+exhausted attempts, injected chaos) separately from genuine application bugs.
 """
 
 from __future__ import annotations
 
-__all__ = ["ResilienceError", "DeadlineExceeded", "BreakerOpen",
-           "RetriesExhausted", "InjectedFault"]
+__all__ = ["ResilienceError", "DeadlineExceeded", "RetriesExhausted",
+           "InjectedFault"]
 
 
 class ResilienceError(RuntimeError):
@@ -19,16 +19,8 @@ class DeadlineExceeded(ResilienceError):
     """The request's time budget ran out before the work finished."""
 
 
-class BreakerOpen(ResilienceError):
-    """A circuit breaker refused the call because its site is tripped."""
-
-    def __init__(self, site: str):
-        super().__init__(f"circuit breaker for {site!r} is open")
-        self.site = site
-
-
 class RetriesExhausted(ResilienceError):
-    """Every retry attempt failed; carries the last underlying error."""
+    """Every attempt failed; carries the last underlying error."""
 
     def __init__(self, site: str, attempts: int, last: BaseException):
         super().__init__(

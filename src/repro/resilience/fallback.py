@@ -1,12 +1,12 @@
-"""Typed fallback policies: degrade, don't error.
+"""Fallbacks: degrade, don't error.
 
-A :class:`FallbackPolicy` binds one named stage to its degraded
-alternative (Fliggy's production rankers fall back to popularity
-scoring; so do we).  :func:`run_with_fallback` executes the primary
-through the optional retry/breaker/deadline guards and, on any guarded
-failure, runs the fallback and returns a :class:`FallbackEvent` that
-says *why* — the serving response carries these events so callers and
-tests can see exactly what degraded.
+:func:`run_with_fallback` runs one named stage's primary behind its
+guards (deadline, circuit breaker, a bounded number of attempts) and, on
+any guarded failure, runs the stage's degraded alternative instead
+(Fliggy's production rankers fall back to popularity scoring; so do we),
+returning a :class:`FallbackEvent` that says *why* — the serving
+response carries these events so callers and tests can see exactly what
+degraded.
 """
 
 from __future__ import annotations
@@ -14,16 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from ..obs.registry import get_registry
-from .breaker import BreakerOpen, CircuitBreaker
+from .breaker import CircuitBreaker
 from .deadline import Deadline, DeadlineExceeded
 from .errors import RetriesExhausted
-from .retry import RetryPolicy, retry_call
 
-__all__ = ["FallbackEvent", "FallbackPolicy", "record_fallback",
-           "run_with_fallback"]
+__all__ = ["FallbackEvent", "record_fallback", "run_with_fallback"]
 
 
 @dataclass(frozen=True)
@@ -38,17 +34,6 @@ class FallbackEvent:
         return f"{self.site}:{self.reason}"
 
 
-@dataclass(frozen=True)
-class FallbackPolicy:
-    """The degraded alternative for one stage plus its failure guards."""
-
-    site: str
-    fallback: Callable
-    retry: RetryPolicy | None = None
-    breaker: CircuitBreaker | None = None
-    catch: tuple[type[BaseException], ...] = (Exception,)
-
-
 def record_fallback(site: str, reason: str) -> FallbackEvent:
     """Count a degradation (aggregate + per-site) and return its event."""
     registry = get_registry()
@@ -61,49 +46,76 @@ def record_fallback(site: str, reason: str) -> FallbackEvent:
 
 
 def run_with_fallback(
-    policy: FallbackPolicy,
+    *,
+    site: str,
     primary: Callable,
-    *args,
+    fallback: Callable,
+    attempts: int = 1,
+    breaker: CircuitBreaker | None = None,
     deadline: Deadline | None = None,
-    rng: np.random.Generator | None = None,
-    **kwargs,
 ):
-    """Run ``primary`` under the policy's guards; degrade on failure.
+    """Run ``primary()`` under the guards; degrade to ``fallback()``.
 
     Returns ``(value, event)`` where ``event`` is ``None`` when the
     primary succeeded and a :class:`FallbackEvent` naming the reason when
     the fallback produced the value instead.  The breaker records one
-    outcome per *request* (post-retry), so its failure window measures
-    observed availability, not raw attempt count.
+    outcome per *request* (after every attempt), so its failure window
+    measures observed availability, not raw attempt count.
     """
-    breaker = policy.breaker
     if deadline is not None and deadline.expired:
-        event = record_fallback(policy.site, "deadline")
-        return policy.fallback(*args, **kwargs), event
+        event = record_fallback(site, "deadline")
+        return fallback(), event
     if breaker is not None and not breaker.allow():
-        event = record_fallback(policy.site, "breaker_open")
-        return policy.fallback(*args, **kwargs), event
+        event = record_fallback(site, "breaker_open")
+        return fallback(), event
     try:
-        if policy.retry is not None:
-            value = retry_call(
-                primary, *args,
-                policy=policy.retry, site=policy.site,
-                retry_on=policy.catch, deadline=deadline,
-                sleep=None, rng=rng, **kwargs,
-            )
-        else:
-            value = primary(*args, **kwargs)
-    except (RetriesExhausted, DeadlineExceeded, BreakerOpen, *policy.catch) as exc:
+        value = _attempt(site, primary, attempts, deadline)
+    except (RetriesExhausted, DeadlineExceeded) as exc:
         if breaker is not None:
             breaker.record_failure()
-        if isinstance(exc, DeadlineExceeded):
+        cause = exc.last if isinstance(exc, RetriesExhausted) else exc
+        if isinstance(cause, DeadlineExceeded):
             reason = "deadline"
-        elif isinstance(exc, RetriesExhausted):
-            reason = f"error:{type(exc.last).__name__}"
         else:
-            reason = f"error:{type(exc).__name__}"
-        event = record_fallback(policy.site, reason)
-        return policy.fallback(*args, **kwargs), event
+            reason = f"error:{type(cause).__name__}"
+        event = record_fallback(site, reason)
+        return fallback(), event
     if breaker is not None:
         breaker.record_success()
     return value, None
+
+
+def _attempt(
+    site: str, primary: Callable, attempts: int, deadline: Deadline | None
+):
+    """``primary()``, tried up to ``attempts`` times back to back (a
+    request's budget is milliseconds, so no backoff is slept).
+
+    Raises :class:`DeadlineExceeded` when the budget ran out before a
+    retry, and :class:`RetriesExhausted` (carrying the last error) when
+    every attempt failed.  With more than one attempt, each failed one
+    counts ``resilience.retries`` and a success after a failure counts
+    ``resilience.retry_successes``.
+    """
+    registry = get_registry()
+    last: Exception | None = None
+    for attempt in range(1, attempts + 1):
+        if attempt > 1 and deadline is not None and deadline.expired:
+            raise DeadlineExceeded(
+                f"deadline expired before attempt {attempt} of {site!r}"
+            ) from last
+        try:
+            value = primary()
+        except Exception as exc:
+            last = exc
+            if attempts > 1 and registry.enabled:
+                registry.counter(
+                    "resilience.retries", labels={"site": site}
+                ).inc()
+            continue
+        if attempt > 1 and registry.enabled:
+            registry.counter(
+                "resilience.retry_successes", labels={"site": site}
+            ).inc()
+        return value
+    raise RetriesExhausted(site, attempts, last)

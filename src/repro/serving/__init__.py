@@ -1,9 +1,7 @@
 """Online serving stack (Figure 9) and the A/B test simulator (Figure 7)."""
 
 from .abtest import ABTestConfig, ABTestResult, ABTestSimulator
-from .explain import Explanation, RecommendationExplainer
 from .features import RealTimeFeatureService
-from .latency import LatencyReport, measure_serving_latency
 from .platform import (
     FlightRecommender,
     RecommendationResponse,
@@ -24,8 +22,4 @@ __all__ = [
     "ABTestSimulator",
     "ABTestConfig",
     "ABTestResult",
-    "RecommendationExplainer",
-    "Explanation",
-    "LatencyReport",
-    "measure_serving_latency",
 ]

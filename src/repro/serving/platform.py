@@ -24,7 +24,7 @@ With the default no-op registry/tracer this instrumentation is near-free.
 Every request is also *fault tolerant* (see :mod:`repro.resilience`): a
 request carries a :class:`~repro.resilience.Deadline`, each stage has a
 typed fallback (cold-start profile, popular routes, popularity-ordered
-scoring), and the rank stage sits behind a retry policy and a circuit
+scoring), and the rank stage sits behind a second attempt and a circuit
 breaker, so a scoring outage degrades the response instead of erroring —
 the production behaviour of Fliggy's and Grab's rankers.  The response's
 ``degraded``/``fallbacks`` metadata says exactly what happened.
@@ -60,8 +60,6 @@ from ..resilience import (
     CircuitBreaker,
     Deadline,
     FallbackEvent,
-    FallbackPolicy,
-    RetryPolicy,
     record_fallback,
     run_with_fallback,
 )
@@ -75,16 +73,15 @@ __all__ = [
     "FlightRecommender",
 ]
 
+#: tries of the rank stage before it degrades, back to back
+RANK_ATTEMPTS = 2
+
 
 @dataclass(frozen=True)
 class ServingResilienceConfig:
     """Degradation knobs for the serving path (one breaker per rank site)."""
 
     deadline_ms: float | None = None     # default per-request budget
-    stage_budgets_ms: dict | None = None  # e.g. {"rank": 30.0}
-    retry: RetryPolicy = RetryPolicy(
-        max_attempts=2, base_delay_ms=1.0, max_delay_ms=5.0
-    )
     breaker_window: int = 10
     breaker_threshold: float = 0.5
     breaker_min_calls: int = 4
@@ -223,11 +220,9 @@ class FlightRecommender:
         if isinstance(deadline, Deadline):
             return deadline
         if deadline is not None:
-            return Deadline(float(deadline), self.resilience.stage_budgets_ms)
+            return Deadline(float(deadline))
         if self.resilience.deadline_ms is not None:
-            return Deadline(
-                self.resilience.deadline_ms, self.resilience.stage_budgets_ms
-            )
+            return Deadline(self.resilience.deadline_ms)
         return None
 
     def _shed_response(
@@ -304,7 +299,6 @@ class FlightRecommender:
             # does any id the embedding tables have no row for, even when
             # RTFS holds bookings streamed in for it.
             with tracer.span("features"):
-                stage_start = time.perf_counter()
                 try:
                     history = self.features.user_history(user_id, day)
                 except KeyError:
@@ -321,17 +315,13 @@ class FlightRecommender:
                             record_fallback("features", "out_of_table")
                         )
                         history = self.cold_start_history(user_id)
-                self._observe_stage(deadline, "features", stage_start)
 
             # Stage 2 — recall: degrade to globally popular routes.
             with tracer.span("recall") as recall_span:
-                stage_start = time.perf_counter()
                 candidates, event = run_with_fallback(
-                    FallbackPolicy(
-                        site="recall",
-                        fallback=lambda: self.recall.popular_pairs(),
-                    ),
-                    lambda: self.recall.candidate_pairs(history),
+                    site="recall",
+                    primary=lambda: self.recall.candidate_pairs(history),
+                    fallback=self.recall.popular_pairs,
                     deadline=deadline,
                 )
                 if event is None and not candidates:
@@ -340,27 +330,24 @@ class FlightRecommender:
                 if event is not None:
                     events.append(event)
                 recall_span.set_tag("candidates", len(candidates))
-                self._observe_stage(deadline, "recall", stage_start)
 
             # Stage 3 — rank behind retry + breaker + deadline; degrade
             # to popularity ordering when the model cannot score.
             with tracer.span("rank") as rank_span:
-                stage_start = time.perf_counter()
                 flights, event = run_with_fallback(
-                    FallbackPolicy(
-                        site="rank",
-                        fallback=lambda: self.popularity_rank(candidates, k),
-                        retry=self.resilience.retry,
-                        breaker=self.rank_breaker,
+                    site="rank",
+                    primary=lambda: self.ranking.rank(
+                        history, candidates, day, k=k
                     ),
-                    lambda: self.ranking.rank(history, candidates, day, k=k),
+                    fallback=lambda: self.popularity_rank(candidates, k),
+                    attempts=RANK_ATTEMPTS,
+                    breaker=self.rank_breaker,
                     deadline=deadline,
                 )
                 if event is not None:
                     events.append(event)
                 rank_span.set_tag("returned", len(flights))
                 rank_span.set_tag("degraded", event is not None)
-                self._observe_stage(deadline, "rank", stage_start)
 
         latency_ms = (time.perf_counter() - start) * 1000.0
         registry = get_registry()
@@ -384,13 +371,3 @@ class FlightRecommender:
             degraded=bool(events),
             fallbacks=events,
         )
-
-    @staticmethod
-    def _observe_stage(
-        deadline: Deadline | None, stage: str, start_s: float
-    ) -> None:
-        if deadline is not None:
-            deadline.observe_stage(
-                stage, (time.perf_counter() - start_s) * 1000.0
-            )
-

@@ -21,16 +21,19 @@ TINY_MODEL_CONFIG = ODNETConfig(dim=16, num_heads=2, depth=2, expert_dim=32,
                                 tower_hidden=16, seed=0)
 
 
+#: a small but structurally complete synthetic Fliggy world
+TINY_FLIGGY_CONFIG = FliggyConfig(
+    num_users=120,
+    world=WorldConfig(num_cities=30),
+    train_points_per_user=2,
+    seed=42,
+)
+
+
 @pytest.fixture(scope="session")
 def fliggy_dataset():
     """A small but structurally complete synthetic Fliggy dataset."""
-    config = FliggyConfig(
-        num_users=120,
-        world=WorldConfig(num_cities=30),
-        train_points_per_user=2,
-        seed=42,
-    )
-    return generate_fliggy_dataset(config)
+    return generate_fliggy_dataset(TINY_FLIGGY_CONFIG)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,29 @@
 """ODDataset batching, aux/pair features, and ranking-task construction."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.data import ODDataset, ODPair
 from repro.data.dataset import AUX_DIM, FULL_XST_DIM, PAIR_DIM
 from repro.data.temporal import XST_DIM
+
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+_NARROW_WORLD_SCRIPT = """
+import json
+from repro.data import FliggyConfig, ODDataset, generate_fliggy_dataset
+from repro.data.world import WorldConfig
+dataset = ODDataset(generate_fliggy_dataset(FliggyConfig(
+    num_users=20, world=WorldConfig(num_cities=4))))
+print(json.dumps([len(set(task.candidates))
+                  for task in dataset.ranking_tasks()]))
+"""
 
 
 class TestBatching:
@@ -139,6 +157,20 @@ class TestRankingTasks:
             origins = {pair.origin for pair in task.candidates}
             assert origins == {task.point.target.origin}
 
+    def test_a_world_narrower_than_the_width_returns(self):
+        """Four cities hold at most 15 pairs besides the truth, so 29
+        distinct distractors cannot exist; the default width must still
+        return.  A fresh interpreter under a timeout turns a rejection
+        loop that never ends into a failure instead of a hung suite."""
+        result = subprocess.run(
+            [sys.executable, "-c", _NARROW_WORLD_SCRIPT],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            check=True, capture_output=True, text=True, timeout=60,
+        )
+        widths = json.loads(result.stdout.strip().splitlines()[-1])
+        assert len(widths) == 20
+        assert all(1 < width <= 16 for width in widths)
+
     def test_batch_for_candidates_labels(self, od_dataset):
         point = od_dataset.source.test_points[0]
         distractor = ODPair(
@@ -166,3 +198,37 @@ class TestRankingTasks:
         )
         batch = od_dataset.batch_for_candidates(adhoc, [source_point.target])
         assert len(batch) == 1
+
+
+class TestSampleDistractors:
+    def test_distinct_and_never_the_target(self, od_dataset):
+        point = od_dataset.source.test_points[0]
+        pairs = od_dataset.sample_distractors(
+            point.target, 20, np.random.default_rng(0)
+        )
+        assert len(pairs) == 20
+        assert len(set(pairs)) == 20
+        assert point.target not in pairs
+
+    def test_draws_are_bounded(self, od_dataset, monkeypatch):
+        target = od_dataset.source.test_points[0].target
+        draws = []
+
+        def same_pair(true, rng):
+            draws.append(1)
+            return ODPair(true.origin, (true.destination + 1)
+                          % od_dataset.num_cities)
+
+        monkeypatch.setattr(od_dataset, "_sample_distractor", same_pair)
+        pairs = od_dataset.sample_distractors(
+            target, 5, np.random.default_rng(0)
+        )
+        assert len(pairs) == 1
+        assert len(draws) == 8 * (5 + 1)
+
+    def test_zero_draws_nothing(self, od_dataset):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        target = od_dataset.source.test_points[0].target
+        assert od_dataset.sample_distractors(target, 0, rng) == []
+        assert rng.bit_generator.state == state

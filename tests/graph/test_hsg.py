@@ -153,17 +153,3 @@ class TestQueries:
         w1 = g.spatial_weights
         assert w1 is g.spatial_weights
         np.testing.assert_allclose(w1.sum(axis=1), 1.0)
-
-
-class TestNetworkxExport:
-    def test_node_and_edge_counts(self):
-        g = _small_graph()
-        nx_graph = g.to_networkx()
-        assert len(nx_graph.nodes) == 3 + 5
-        # Multigraph edges are unique (user, city, type) triples.
-        assert len(nx_graph.edges) == 6
-
-    def test_node_attributes(self):
-        nx_graph = _small_graph().to_networkx()
-        assert nx_graph.nodes[("city", 0)]["node_type"] == "city"
-        assert "lon" in nx_graph.nodes[("city", 0)]

@@ -1,15 +1,9 @@
-"""Profiler hooks: trainer integration, metrics forwarding, composition."""
+"""Profiler hooks: trainer integration and the trainer's metrics."""
 
 import numpy as np
 
 from repro.core import build_odnet
-from repro.obs import (
-    CompositeProfiler,
-    MetricsProfiler,
-    MetricsRegistry,
-    RecordingProfiler,
-    use_registry,
-)
+from repro.obs import RecordingProfiler, use_registry
 from repro.train import TrainConfig, Trainer
 
 from tests.conftest import TINY_MODEL_CONFIG
@@ -55,33 +49,3 @@ class TestTrainerMetrics:
         assert registry.histogram("train.grad_norm").count >= 1
         assert np.isfinite(registry.gauge("train.epoch_loss").value)
         assert 0.0 < registry.gauge("train.theta").value < 1.0
-
-
-class TestMetricsProfiler:
-    def test_forwards_to_registry(self):
-        registry = MetricsRegistry()
-        profiler = MetricsProfiler(registry)
-        profiler.on_epoch(0, loss=0.4, grad_norm=1.2, theta=0.5,
-                          examples_per_sec=100.0)
-        profiler.on_batch(0, 0, loss=0.4, grad_norm=1.2)
-        profiler.on_request(7, 720, latency_ms=3.0, num_candidates=50, k=5)
-        assert registry.gauge("train.loss").value == 0.4
-        assert registry.gauge("train.theta").value == 0.5
-        assert registry.histogram("train.grad_norm").count == 1
-        assert registry.histogram("serving.latency_ms").count == 1
-        assert registry.counter("profiler.requests").value == 1
-
-    def test_uses_active_registry_by_default(self):
-        profiler = MetricsProfiler()
-        with use_registry() as registry:
-            profiler.on_request(1, 700, latency_ms=2.0)
-        assert registry.counter("profiler.requests").value == 1
-
-
-class TestCompositeProfiler:
-    def test_fans_out(self):
-        first, second = RecordingProfiler(), RecordingProfiler()
-        composite = CompositeProfiler(first, second)
-        composite.on_epoch(0, loss=0.1)
-        composite.on_request(1, 2, latency_ms=1.0)
-        assert len(first.events) == len(second.events) == 2

@@ -32,13 +32,9 @@ def probe(od_dataset):
     rng = np.random.default_rng(7)
     requests = []
     for point in od_dataset.source.test_points[:12]:
-        seen = {point.target}
-        candidates = [point.target]
-        while len(candidates) < 8:
-            pair = od_dataset._sample_distractor(point.target, rng)
-            if pair not in seen:
-                seen.add(pair)
-                candidates.append(pair)
+        candidates = [point.target] + od_dataset.sample_distractors(
+            point.target, 7, rng
+        )
         requests.append((point, candidates))
     return od_dataset.batch_for_requests(requests)
 

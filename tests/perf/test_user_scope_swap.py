@@ -8,18 +8,15 @@ tests hold the narrowed tables to the full rebuild (1e-12: the rows come
 from a GEMM over ``len(ids)`` rows, not all of them), the old state to
 immutability, each fallback to bit-equality with the full rebuild, and
 the point of it all — the table build no longer scales with the user
-count — to a ratio.
+count — to the user rows it propagates.
 """
 
 from __future__ import annotations
 
-import statistics
-import time
-
 import numpy as np
 import pytest
 
-from repro.core import ODNETConfig, build_odnet
+from repro.core import HSGComponent, ODNETConfig, build_odnet
 from repro.data import FliggyConfig, ODDataset, generate_fliggy_dataset
 from repro.data.world import WorldConfig
 from repro.perf import InferenceSession
@@ -186,9 +183,9 @@ class TestFallsBackToTheFullRebuild:
 
 class TestTableBuildDoesNotScaleWithTheGraph:
     def test_twenty_ids_of_a_thousand(self, monkeypatch):
-        """Median of 5: building the tables of a 20-user delta takes
-        under a fifth of building all 1 000 users' (a ratio on one box,
-        not milliseconds)."""
+        """A 20-user delta propagates 20 user rows per HSGC copy where a
+        full rebuild propagates all 1 000; the city side is whole both
+        times (counted rows, not milliseconds)."""
         dataset = ODDataset(generate_fliggy_dataset(FliggyConfig(
             num_users=1000, world=WorldConfig(num_cities=60),
             train_points_per_user=1, seed=3,
@@ -197,21 +194,17 @@ class TestTableBuildDoesNotScaleWithTheGraph:
         session = InferenceSession(model)
         session.swap(model.state_dict())
         ids = list(range(0, 1000, 50))
-        build, spent = model.embedding_tables, []
+        propagate, rows = HSGComponent.node_embeddings, []
 
-        def timed_build(users=None):
-            start = time.perf_counter()
-            try:
-                return build(users)
-            finally:
-                spent.append((users is not None, time.perf_counter() - start))
+        def counted(hsgc, users=None):
+            tables = propagate(hsgc, users)
+            rows.append(tuple(len(table) for table in tables))
+            return tables
 
-        monkeypatch.setattr(model, "embedding_tables", timed_build)
-        for round_ in range(5):
-            session.swap(_moved(model.state_dict(), ids, seed=round_))
-            session.swap(_moved(model.state_dict(), ids, seed=round_ + 9),
-                         touched_users=ids)
-        assert [narrow for narrow, _ in spent] == [False, True] * 5
-        full = statistics.median(s for narrow, s in spent if not narrow)
-        narrow = statistics.median(s for narrow, s in spent if narrow)
-        assert narrow < full / 5, (narrow, full)
+        monkeypatch.setattr(HSGComponent, "node_embeddings", counted)
+        session.swap(_moved(model.state_dict(), ids, seed=0))
+        assert rows == [(1000, 60)] * 2
+        rows.clear()
+        session.swap(_moved(model.state_dict(), ids, seed=9),
+                     touched_users=ids)
+        assert rows == [(20, 60)] * 2

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs import use_registry
-from repro.resilience import CLOSED, HALF_OPEN, OPEN, BreakerOpen, CircuitBreaker
+from repro.resilience import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from tests.resilience.test_deadline import FakeClock
 
 
@@ -73,20 +73,7 @@ class TestStateMachine:
             CircuitBreaker("x", min_calls=0)
 
 
-class TestCallWrapper:
-    def test_call_records_and_raises_breaker_open(self):
-        breaker = make_breaker(min_calls=2, failure_threshold=0.5)
-
-        def boom():
-            raise ValueError("nope")
-
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                breaker.call(boom)
-        assert breaker.state == OPEN
-        with pytest.raises(BreakerOpen):
-            breaker.call(lambda: "never runs")
-
+class TestObservability:
     def test_obs_counters_and_gauge(self):
         with use_registry() as registry:
             breaker = make_breaker(min_calls=2)

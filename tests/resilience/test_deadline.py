@@ -1,8 +1,7 @@
-"""Deadline budgets, expiry, and per-stage overrun observation."""
+"""Deadline budgets and expiry."""
 
 import pytest
 
-from repro.obs import use_registry
 from repro.resilience import Deadline, DeadlineExceeded
 
 
@@ -42,29 +41,3 @@ class TestDeadline:
             Deadline(0.0)
         with pytest.raises(ValueError):
             Deadline(-5.0)
-
-    def test_stage_budget_capped_by_remaining(self):
-        clock = FakeClock()
-        deadline = Deadline(100.0, stage_budgets_ms={"rank": 60.0},
-                            clock=clock)
-        assert deadline.stage_budget_ms("rank") == pytest.approx(60.0)
-        clock.advance_ms(70)
-        assert deadline.stage_budget_ms("rank") == pytest.approx(30.0)
-        # Unbudgeted stages get whatever remains.
-        assert deadline.stage_budget_ms("recall") == pytest.approx(30.0)
-
-    def test_observe_stage_records_overrun(self):
-        deadline = Deadline(100.0, stage_budgets_ms={"rank": 10.0})
-        with use_registry() as registry:
-            assert deadline.observe_stage("rank", 25.0) == pytest.approx(15.0)
-            assert deadline.observe_stage("rank", 5.0) == 0.0
-            # Stages without a budget never count as overruns.
-            assert deadline.observe_stage("recall", 500.0) == 0.0
-        histogram = registry.histogram(
-            "resilience.stage_overrun_ms", labels={"stage": "rank"}
-        )
-        assert histogram.count == 1
-        assert histogram.max == pytest.approx(15.0)
-        assert registry.counter(
-            "resilience.deadline_overruns", labels={"stage": "rank"}
-        ).value == 1

@@ -1,4 +1,4 @@
-"""Typed fallback policies and the guarded executor."""
+"""The guarded executor: deadline, breaker, bounded attempts, fallback."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.resilience import (
     CircuitBreaker,
     Deadline,
     FallbackEvent,
-    FallbackPolicy,
-    RetryPolicy,
     record_fallback,
     run_with_fallback,
 )
@@ -27,6 +25,26 @@ def degraded():
     return "degraded"
 
 
+class Flaky:
+    """Fails the first ``failures`` calls, then succeeds."""
+
+    def __init__(self, failures: int):
+        self.failures = failures
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise ConnectionError(f"boom {self.calls}")
+        return "ok"
+
+
+def run(primary, **kwargs):
+    return run_with_fallback(
+        site="rank", primary=primary, fallback=degraded, **kwargs
+    )
+
+
 class TestRecordFallback:
     def test_counts_aggregate_and_per_site(self):
         with use_registry() as registry:
@@ -42,23 +60,17 @@ class TestRecordFallback:
 
 class TestRunWithFallback:
     def test_primary_success_no_event(self):
-        policy = FallbackPolicy(site="rank", fallback=degraded)
-        value, event = run_with_fallback(policy, primary_ok)
+        value, event = run(primary_ok)
         assert value == "primary"
         assert event is None
 
     def test_failure_degrades_with_reason(self):
-        policy = FallbackPolicy(site="rank", fallback=degraded)
-        value, event = run_with_fallback(policy, primary_boom)
+        value, event = run(primary_boom)
         assert value == "degraded"
         assert event.reason == "error:ConnectionError"
 
     def test_retry_reason_names_underlying_error(self):
-        policy = FallbackPolicy(
-            site="rank", fallback=degraded,
-            retry=RetryPolicy(max_attempts=2),
-        )
-        value, event = run_with_fallback(policy, primary_boom)
+        value, event = run(primary_boom, attempts=2)
         assert value == "degraded"
         assert event.reason == "error:ConnectionError"
 
@@ -67,10 +79,7 @@ class TestRunWithFallback:
         deadline = Deadline(5.0, clock=clock)
         clock.advance_ms(6)
         calls = []
-        policy = FallbackPolicy(site="rank", fallback=degraded)
-        value, event = run_with_fallback(
-            policy, lambda: calls.append(1), deadline=deadline
-        )
+        value, event = run(lambda: calls.append(1), deadline=deadline)
         assert value == "degraded"
         assert event.reason == "deadline"
         assert not calls  # the primary never ran
@@ -80,9 +89,7 @@ class TestRunWithFallback:
                                  failure_threshold=0.5, clock=FakeClock())
         breaker.record_failure()
         calls = []
-        policy = FallbackPolicy(site="rank", fallback=degraded,
-                                breaker=breaker)
-        value, event = run_with_fallback(policy, lambda: calls.append(1))
+        value, event = run(lambda: calls.append(1), breaker=breaker)
         assert value == "degraded"
         assert event.reason == "breaker_open"
         assert not calls
@@ -90,13 +97,50 @@ class TestRunWithFallback:
     def test_breaker_sees_post_retry_outcomes(self):
         breaker = CircuitBreaker("rank", min_calls=2,
                                  failure_threshold=0.5, clock=FakeClock())
-        policy = FallbackPolicy(
-            site="rank", fallback=degraded,
-            retry=RetryPolicy(max_attempts=2), breaker=breaker,
-        )
-        run_with_fallback(policy, primary_boom)
-        run_with_fallback(policy, primary_boom)
+        run(primary_boom, attempts=2, breaker=breaker)
+        run(primary_boom, attempts=2, breaker=breaker)
         assert breaker.state == "open"
         # Third request skips the primary entirely.
-        value, event = run_with_fallback(policy, primary_boom)
+        value, event = run(primary_boom, attempts=2, breaker=breaker)
         assert (value, event.reason) == ("degraded", "breaker_open")
+
+
+class TestAttempts:
+    def test_succeeds_after_transient_failures(self):
+        flaky = Flaky(failures=2)
+        assert run(flaky, attempts=3) == ("ok", None)
+        assert flaky.calls == 3
+
+    def test_every_attempt_failing_degrades(self):
+        flaky = Flaky(failures=99)
+        value, event = run(flaky, attempts=3)
+        assert (value, event.reason) == ("degraded", "error:ConnectionError")
+        assert flaky.calls == 3
+
+    @pytest.mark.parametrize("attempts, retries, successes",
+                             [(1, 0, 0), (2, 3, 1)])
+    def test_counters_recorded(self, attempts, retries, successes):
+        # A single attempt is no retry: a failure counts nothing.
+        with use_registry() as registry:
+            run(Flaky(failures=99), attempts=attempts)
+            run(Flaky(failures=1), attempts=attempts)
+        assert registry.counter(
+            "resilience.retries", labels={"site": "rank"}
+        ).value == retries
+        assert registry.counter(
+            "resilience.retry_successes", labels={"site": "rank"}
+        ).value == successes
+
+    def test_expired_deadline_stops_retrying(self):
+        clock = FakeClock()
+        deadline = Deadline(10.0, clock=clock)
+        calls = []
+
+        def slow_failure():
+            calls.append(1)
+            clock.advance_ms(11)
+            raise ConnectionError("down")
+
+        value, event = run(slow_failure, attempts=3, deadline=deadline)
+        assert (value, event.reason) == ("degraded", "deadline")
+        assert len(calls) == 1
